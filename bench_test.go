@@ -163,9 +163,12 @@ func BenchmarkTopKQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkRSkybandFilter times the default prefilter's path: the
+// r-skyband against the vertices of a σ = 0.5% box on IND n = 100k.
 func BenchmarkRSkybandFilter(b *testing.B) {
 	ds := dataset.Generate(dataset.Independent, 100000, 4, 7)
-	rd := skyband.NewRDomBox(vec.Of(0.3, 0.25, 0.2), vec.Of(0.31, 0.26, 0.21))
+	wr := geom.NewBox(vec.Of(0.3, 0.25, 0.2), vec.Of(0.305, 0.255, 0.205))
+	rd := skyband.NewRDomVerts(wr.VertexPoints())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,15 +1,20 @@
 package core
 
-// CI-enforced zero-allocation invariants for the solve hot path (see
+// CI-enforced allocation invariants for the solve hot path (see
 // docs/PERFORMANCE.md): warm hyperplane interning and streaming impact
-// dedup allocate nothing once their tables reach steady state.
+// dedup allocate nothing once their tables reach steady state, and the
+// default prefilter allocates a fixed amount whatever the dataset size.
 
 import (
+	"context"
+	"runtime"
 	"testing"
 
 	"toprr/internal/dataset"
+	"toprr/internal/geom"
 	"toprr/internal/race"
 	"toprr/internal/topk"
+	"toprr/internal/vec"
 )
 
 func skipUnderRace(t *testing.T) {
@@ -101,5 +106,38 @@ func TestAllocsStreamPushDuplicate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("duplicate stream pushes allocate %.1f per run, want 0", allocs)
+	}
+}
+
+// TestAllocsSkybandPrefilter bounds the default prefilter on IND
+// n = 100k by constants that do not grow with n: the bound pass reads
+// the scorer's points in place and keeps only the options it cannot
+// discard, so neither the object count nor the bytes may scale with the
+// dataset (copying it alone would cost 100k objects).
+func TestAllocsSkybandPrefilter(t *testing.T) {
+	skipUnderRace(t)
+	const (
+		maxAllocs = 40
+		maxBytes  = 64 << 10
+		runs      = 5
+	)
+	ds := dataset.Generate(dataset.Independent, 100000, 4, 7)
+	p := NewProblem(ds.Pts, 10, geom.NewBox(vec.Of(0.3, 0.25, 0.2), vec.Of(0.305, 0.255, 0.205)))
+	filter := func() {
+		if _, err := (SkybandPrefilter{}).Filter(context.Background(), p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(runs, filter); allocs > maxAllocs {
+		t.Fatalf("r-skyband prefilter allocates %.1f objects per run, want <= %d", allocs, maxAllocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		filter()
+	}
+	runtime.ReadMemStats(&after)
+	if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; bytes > maxBytes {
+		t.Fatalf("r-skyband prefilter allocates %d bytes per run, want <= %d", bytes, maxBytes)
 	}
 }

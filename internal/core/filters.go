@@ -3,7 +3,6 @@ package core
 import (
 	"toprr/internal/skyband"
 	"toprr/internal/topk"
-	"toprr/internal/vec"
 )
 
 // FilterSizes reports the candidate-set sizes behind Figure 12 of the
@@ -11,12 +10,8 @@ import (
 // applying the consistent top-λ pruning of Lemma 5 at the root region
 // wR itself.
 func FilterSizes(p Problem) (rSkyband, withLemma5 int) {
-	pts := make([]vec.Vector, p.Scorer.Len())
-	for i := range pts {
-		pts[i] = p.Scorer.Point(i)
-	}
 	rd := skyband.NewRDomVerts(p.WR.VertexPoints())
-	active := skyband.RSkyband(pts, p.K, rd)
+	active := skyband.RSkyband(p.Scorer.Points(), p.K, rd)
 	rSkyband = len(active)
 
 	// Root-level Lemma 5: largest λ < k with a common top-λ set at all

@@ -19,7 +19,7 @@ func TestUTKFilterCoversSampledTopK(t *testing.T) {
 	for iter := 0; iter < 5; iter++ {
 		d := 2 + iter%3
 		prob := randomProblem(rng, 100, d, 2+rng.Intn(5))
-		out, err := UTKFilter(datasetPoints(prob), prob.K, prob.WR)
+		out, err := UTKFilter(prob.Scorer.Points(), prob.K, prob.WR)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func TestUTKFilterCoversSampledTopK(t *testing.T) {
 		// Minimality relative to the r-skyband (the UTK filter must be
 		// at least as tight).
 		rd := skyband.NewRDomVerts(prob.WR.VertexPoints())
-		sky := skyband.RSkyband(datasetPoints(prob), prob.K, rd)
+		sky := skyband.RSkyband(prob.Scorer.Points(), prob.K, rd)
 		if len(out) > len(sky) {
 			t.Fatalf("iter %d: |UTK| = %d > |r-skyband| = %d", iter, len(out), len(sky))
 		}
@@ -57,11 +57,11 @@ func TestUTKFilterCoversSampledTopK(t *testing.T) {
 func TestUTKFilterDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	prob := randomProblem(rng, 120, 3, 4)
-	a, err := UTKFilter(datasetPoints(prob), prob.K, prob.WR)
+	a, err := UTKFilter(prob.Scorer.Points(), prob.K, prob.WR)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := UTKFilter(datasetPoints(prob), prob.K, prob.WR)
+	b, err := UTKFilter(prob.Scorer.Points(), prob.K, prob.WR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestUTKFilterContextCancelled(t *testing.T) {
 	prob := randomProblem(rng, 100, 3, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := UTKFilterContext(ctx, datasetPoints(prob), prob.K, prob.WR); !errors.Is(err, context.Canceled) {
+	if _, err := UTKFilterContext(ctx, prob.Scorer.Points(), prob.K, prob.WR); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

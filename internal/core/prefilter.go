@@ -23,8 +23,10 @@ type Prefilter interface {
 }
 
 // SkybandPrefilter is the default prefilter: the r-skyband of Section
-// 6.3, computed against the vertices of wR. Linear output sensitivity,
-// near-linear time; may retain some options the UTK filter would drop.
+// 6.3, computed against the vertices V of wR. It costs one O(n·|V|)
+// bound pass over the dataset plus a sweep over the few options that
+// pass survives, and reads the scorer's points in place; it may retain
+// some options the UTK filter would drop.
 type SkybandPrefilter struct{}
 
 // Name implements Prefilter.
@@ -35,9 +37,8 @@ func (SkybandPrefilter) Filter(ctx context.Context, p Problem) ([]int, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	pts := datasetPoints(p)
 	rd := skyband.NewRDomVerts(p.WR.VertexPoints())
-	return skyband.RSkyband(pts, p.K, rd), nil
+	return skyband.RSkyband(p.Scorer.Points(), p.K, rd), nil
 }
 
 // UTKPrefilter computes the exact candidate set — precisely the options
@@ -111,13 +112,4 @@ func gatedFilter(ctx context.Context, p Problem, o Options, pf Prefilter, st *St
 	st.SketchGated = true
 	st.SketchSkips = skipped
 	return skyband.RSkybandSubset(pts, cands, p.K, rd), nil
-}
-
-// datasetPoints materializes the problem's option points.
-func datasetPoints(p Problem) []vec.Vector {
-	pts := make([]vec.Vector, p.Scorer.Len())
-	for i := range pts {
-		pts[i] = p.Scorer.Point(i)
-	}
-	return pts
 }

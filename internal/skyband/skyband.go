@@ -15,6 +15,12 @@
 // top-k result, which is the only property TopRR correctness needs;
 // tolerance choices below are deliberately conservative (an uncertain
 // dominance relation keeps the option).
+//
+// Costs: the k-skyband sweep is O(n log n) plus O(n·|band|) dominance
+// tests. The r-skyband scores each option once at every vertex of wR,
+// O(n·|V|), to discard options provably r-dominated k times over, then
+// sorts and sweeps only the survivors, each r-dominance test costing
+// O(|V|·d); see RSkyband.
 package skyband
 
 import (
@@ -49,77 +55,56 @@ func Dominates(p, q vec.Vector) bool {
 // r-dominates q when S_w(p) >= S_w(q) for every w in wR, strictly for
 // some w (Section 6.3, after [14]). Since scores are linear in w, the
 // extreme score difference over a convex wR is attained at a vertex, so
-// the test needs only wR's defining vertices; for an axis-aligned box it
-// is evaluated analytically in O(d).
+// the test needs only wR's defining vertices.
 type RDom struct {
-	verts  []vec.Vector // general polytope: vertex set of wR
-	lo, hi vec.Vector   // box fast path (set when verts == nil)
+	verts    []vec.Vector // vertex set of wR
+	centroid vec.Vector   // centroid of verts: the sweep's sort direction
 }
 
-// NewRDomBox builds an r-dominance tester for the axis-aligned box
-// [lo, hi] in preference space.
-func NewRDomBox(lo, hi vec.Vector) *RDom { return &RDom{lo: lo, hi: hi} }
+// NewRDomVerts builds an r-dominance tester for a convex wR given its
+// defining vertices (at least one).
+func NewRDomVerts(verts []vec.Vector) *RDom {
+	return &RDom{verts: verts, centroid: vec.Centroid(verts)}
+}
 
-// NewRDomVerts builds an r-dominance tester for a general convex wR
-// given its defining vertices.
-func NewRDomVerts(verts []vec.Vector) *RDom { return &RDom{verts: verts} }
-
-// diffRange returns the minimum and maximum of S_w(p) - S_w(q) over wR.
-func (r *RDom) diffRange(p, q vec.Vector) (min, max float64) {
-	m := len(p) - 1
-	c0 := p[m] - q[m]
-	if r.verts == nil {
-		min, max = c0, c0
-		for j := 0; j < m; j++ {
-			cj := (p[j] - p[m]) - (q[j] - q[m])
-			a, b := cj*r.lo[j], cj*r.hi[j]
-			if a > b {
-				a, b = b, a
-			}
-			min += a
-			max += b
-		}
-		return min, max
-	}
-	first := true
-	for _, v := range r.verts {
-		d := topk.ScorePoint(v, p) - topk.ScorePoint(v, q)
-		if first {
-			min, max = d, d
-			first = false
-			continue
-		}
-		if d < min {
+// minDiff returns the minimum of S_w(p) - S_w(q) over wR.
+func (r *RDom) minDiff(p, q vec.Vector) float64 {
+	var min float64
+	for i, v := range r.verts {
+		if d := topk.ScorePoint(v, p) - topk.ScorePoint(v, q); i == 0 || d < min {
 			min = d
 		}
-		if d > max {
-			max = d
+	}
+	return min
+}
+
+// scoreRange returns the least and greatest of S_v(p) over the vertices
+// v of wR, through the same ScorePoint values minDiff compares.
+func (r *RDom) scoreRange(p vec.Vector) (lo, hi float64) {
+	for i, v := range r.verts {
+		s := topk.ScorePoint(v, p)
+		if i == 0 || s < lo {
+			lo = s
+		}
+		if i == 0 || s > hi {
+			hi = s
 		}
 	}
-	return min, max
+	return lo, hi
 }
 
 // RDominates reports whether p r-dominates q over wR. The test demands
 // a strictly positive margin everywhere, so boundary ties count as
 // incomparable — the conservative (superset-safe) direction.
 func (r *RDom) RDominates(p, q vec.Vector) bool {
-	min, _ := r.diffRange(p, q)
-	return min >= domEps
+	return r.minDiff(p, q) >= domEps
 }
 
 // CentroidScore returns S_c(p) at the centroid of wR, the sort key that
 // makes the r-skyband sweep correct: every r-dominator of p scores
 // strictly higher at the centroid.
 func (r *RDom) CentroidScore(p vec.Vector) float64 {
-	if r.verts != nil {
-		return topk.ScorePoint(vec.Centroid(r.verts), p)
-	}
-	m := len(p) - 1
-	c := vec.New(m)
-	for j := 0; j < m; j++ {
-		c[j] = (r.lo[j] + r.hi[j]) / 2
-	}
-	return topk.ScorePoint(c, p)
+	return topk.ScorePoint(r.centroid, p)
 }
 
 // bandSweep runs the sort-filter-skyline style sweep shared by KSkyband
@@ -137,27 +122,31 @@ func bandSweep(pts []vec.Vector, k int, sortKey func(vec.Vector) float64, dom fu
 }
 
 // bandSweepOver is bandSweep restricted to the given candidate indices
-// (order is clobbered by the sort). Restricting the sweep is exact
-// whenever every option outside the candidate set is dominated by at
-// least k options: such options are never kept by the full sweep, and
-// the sweep only ever compares against kept options, so dropping them
-// from the input changes nothing.
+// (order is not modified). Restricting the sweep is exact whenever every
+// option outside the candidate set is dominated by at least k options:
+// such options are never kept by the full sweep, and the sweep only
+// ever compares against kept options, so dropping them from the input
+// changes nothing.
 func bandSweepOver(pts []vec.Vector, order []int, k int, sortKey func(vec.Vector) float64, dom func(p, q vec.Vector) bool) []int {
-	keys := make([]float64, len(pts))
-	for _, i := range order {
-		keys[i] = sortKey(pts[i])
+	type keyed struct {
+		key float64
+		idx int
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if keys[order[a]] != keys[order[b]] {
-			return keys[order[a]] > keys[order[b]]
+	byKey := make([]keyed, len(order))
+	for t, i := range order {
+		byKey[t] = keyed{sortKey(pts[i]), i}
+	}
+	sort.Slice(byKey, func(a, b int) bool {
+		if byKey[a].key != byKey[b].key {
+			return byKey[a].key > byKey[b].key
 		}
-		return order[a] < order[b]
+		return byKey[a].idx < byKey[b].idx
 	})
 	var kept []int
-	for _, idx := range order {
+	for _, c := range byKey {
 		count := 0
 		for _, kidx := range kept {
-			if dom(pts[kidx], pts[idx]) {
+			if dom(pts[kidx], pts[c.idx]) {
 				count++
 				if count >= k {
 					break
@@ -165,7 +154,7 @@ func bandSweepOver(pts []vec.Vector, order []int, k int, sortKey func(vec.Vector
 			}
 		}
 		if count < k {
-			kept = append(kept, idx)
+			kept = append(kept, c.idx)
 		}
 	}
 	sort.Ints(kept)
@@ -182,8 +171,73 @@ func KSkyband(pts []vec.Vector, k int) []int {
 // RSkyband returns the indices of options r-dominated (w.r.t. wR) by
 // fewer than k others — a superset of every possible top-k result for
 // any w in wR. This is the paper's filter of choice (Figure 8).
+//
+// The sweep runs only over the options the O(n·|V|) bound pass
+// (boundSurvivors) keeps, which by bandSweepOver's restriction argument
+// leaves the result unchanged.
 func RSkyband(pts []vec.Vector, k int, rd *RDom) []int {
-	return bandSweep(pts, k, rd.CentroidScore, rd.RDominates)
+	return bandSweepOver(pts, rd.boundSurvivors(pts, k), k, rd.CentroidScore, rd.RDominates)
+}
+
+// boundSurvivors returns, in ascending order, the options of pts that
+// the bound pass cannot discard. Let lo(p) and hi(p) be p's least and
+// greatest score over the vertices of wR, and τ the k-th largest lo
+// over pts. An option p with τ - hi(p) >= domEps is r-dominated by each
+// of the k options q with lo(q) >= τ: at every vertex v,
+// S_v(q) - S_v(p) >= τ - hi(p) holds for the rounded differences too,
+// because floating-point subtraction rounds monotonically in both
+// operands, so RDominates(q, p) sees the same ScorePoint values and
+// succeeds. No such q is p itself, since lo(p) <= hi(p) < τ. Every
+// discarded option therefore has at least k r-dominators.
+//
+// One pass suffices: top tracks the k largest lo values seen so far,
+// so top[0] is a running lower bound on τ and an option discarded
+// against it would be discarded against τ as well. The options kept on
+// the way are re-checked once τ is final, making the survivor set
+// independent of scan order. The pass is skipped when it could discard
+// nothing: with at most k options, or with k < 1.
+func (r *RDom) boundSurvivors(pts []vec.Vector, k int) []int {
+	if len(pts) <= k || k < 1 {
+		all := make([]int, len(pts))
+		for i := range all {
+			all[i] = i
+		}
+		return all
+	}
+	type bounded struct {
+		idx int
+		hi  float64
+	}
+	top := make([]float64, 0, k) // k largest lo values so far, ascending
+	var kept []bounded
+	for i, p := range pts {
+		lo, hi := r.scoreRange(p)
+		if len(top) == k && top[0]-hi >= domEps {
+			continue
+		}
+		kept = append(kept, bounded{i, hi})
+		switch {
+		case len(top) < k:
+			top = append(top, lo)
+			for j := len(top) - 1; j > 0 && top[j] < top[j-1]; j-- {
+				top[j], top[j-1] = top[j-1], top[j]
+			}
+		case lo > top[0]:
+			j := 0
+			for ; j+1 < k && top[j+1] < lo; j++ {
+				top[j] = top[j+1]
+			}
+			top[j] = lo
+		}
+	}
+	tau := top[0]
+	out := make([]int, 0, len(kept))
+	for _, b := range kept {
+		if tau-b.hi < domEps {
+			out = append(out, b.idx)
+		}
+	}
+	return out
 }
 
 // RSkybandSubset is RSkyband restricted to the candidate indices cand
@@ -193,8 +247,7 @@ func RSkyband(pts []vec.Vector, k int, rd *RDom) []int {
 // the sketch gate establishes before calling this. cand is not
 // modified.
 func RSkybandSubset(pts []vec.Vector, cand []int, k int, rd *RDom) []int {
-	order := append([]int(nil), cand...)
-	return bandSweepOver(pts, order, k, rd.CentroidScore, rd.RDominates)
+	return bandSweepOver(pts, cand, k, rd.CentroidScore, rd.RDominates)
 }
 
 // OnionLayers returns the indices of options on the first k layers of

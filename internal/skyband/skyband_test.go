@@ -41,6 +41,24 @@ func TestDominanceTransitive(t *testing.T) {
 	}
 }
 
+// boxVerts lists the 2^m corners of the axis-aligned box [lo, hi] in
+// preference space.
+func boxVerts(lo, hi vec.Vector) []vec.Vector {
+	m := len(lo)
+	out := make([]vec.Vector, 0, 1<<m)
+	for mask := 0; mask < 1<<m; mask++ {
+		v := vec.New(m)
+		for j := range v {
+			v[j] = lo[j]
+			if mask&(1<<j) != 0 {
+				v[j] = hi[j]
+			}
+		}
+		out = append(out, v)
+	}
+	return out
+}
+
 func randPt(rng *rand.Rand, d int) vec.Vector {
 	p := vec.New(d)
 	for j := range p {
@@ -84,26 +102,9 @@ func TestKSkybandMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestRDomBoxMatchesVertexTester(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	lo, hi := vec.Of(0.2, 0.1), vec.Of(0.3, 0.25)
-	box := NewRDomBox(lo, hi)
-	// Enumerate the box corners for the vertex-based tester.
-	verts := []vec.Vector{
-		vec.Of(0.2, 0.1), vec.Of(0.3, 0.1), vec.Of(0.2, 0.25), vec.Of(0.3, 0.25),
-	}
-	vt := NewRDomVerts(verts)
-	for iter := 0; iter < 3000; iter++ {
-		p, q := randPt(rng, 3), randPt(rng, 3)
-		if box.RDominates(p, q) != vt.RDominates(p, q) {
-			t.Fatalf("box and vertex testers disagree on %v vs %v", p, q)
-		}
-	}
-}
-
 func TestDominanceImpliesRDominance(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	rd := NewRDomBox(vec.Of(0.1, 0.1), vec.Of(0.4, 0.3))
+	rd := NewRDomVerts(boxVerts(vec.Of(0.1, 0.1), vec.Of(0.4, 0.3)))
 	for iter := 0; iter < 3000; iter++ {
 		p, q := randPt(rng, 3), randPt(rng, 3)
 		// Make strict dominance likely.
@@ -133,7 +134,7 @@ func TestRSkybandIsSupersetOfTopKResults(t *testing.T) {
 	}
 	lo, hi := vec.Of(0.3, 0.2), vec.Of(0.45, 0.35)
 	k := 5
-	band := RSkyband(pts, k, NewRDomBox(lo, hi))
+	band := RSkyband(pts, k, NewRDomVerts(boxVerts(lo, hi)))
 	inBand := make(map[int]bool, len(band))
 	for _, i := range band {
 		inBand[i] = true
@@ -157,7 +158,7 @@ func TestRSkybandSubsetOfKSkyband(t *testing.T) {
 		pts[i] = randPt(rng, 4)
 	}
 	k := 3
-	rsky := RSkyband(pts, k, NewRDomBox(vec.Of(0.2, 0.2, 0.2), vec.Of(0.3, 0.3, 0.3)))
+	rsky := RSkyband(pts, k, NewRDomVerts(boxVerts(vec.Of(0.2, 0.2, 0.2), vec.Of(0.3, 0.3, 0.3))))
 	ksky := KSkyband(pts, k)
 	inK := make(map[int]bool, len(ksky))
 	for _, i := range ksky {
@@ -219,7 +220,7 @@ func TestFilterSizesOrdering(t *testing.T) {
 	// ordering must hold: |r-skyband| <= |k-skyband|.
 	d := dataset.Generate(dataset.Independent, 3000, 4, 5)
 	k := 10
-	rd := NewRDomBox(vec.Of(0.2, 0.2, 0.2), vec.Of(0.25, 0.25, 0.25))
+	rd := NewRDomVerts(boxVerts(vec.Of(0.2, 0.2, 0.2), vec.Of(0.25, 0.25, 0.25)))
 	rs := RSkyband(d.Pts, k, rd)
 	ks := KSkyband(d.Pts, k)
 	if len(rs) > len(ks) {
