@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -32,13 +33,12 @@ func Solve(p Problem, o Options) (*Result, error) {
 // — honoring cancellation and deadlines on ctx. The pipeline is the
 // paper's: r-skyband pre-filtering (Section 6.3), recursive
 // partitioning of wR (Sections 4-5), and assembly of oR from the impact
-// halfspaces at the collected vertices (Theorem 1); each stage is
-// replaceable via Options.
+// halfspaces at the collected vertices (Theorem 1).
 func SolveContext(ctx context.Context, p Problem, o Options) (*Result, error) {
 	start := time.Now()
 	o = o.withDefaults()
 	// The Timeout budget also rides on the context so that every stage
-	// — including a prefilter doing its own partitioning — is bounded.
+	// is bounded, not only the partition's budget checks.
 	if o.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadline(ctx, start.Add(o.Timeout))
@@ -47,7 +47,6 @@ func SolveContext(ctx context.Context, p Problem, o Options) (*Result, error) {
 	s := &solver{
 		prob: p,
 		opt:  o,
-		rng:  rand.New(rand.NewSource(o.Seed + 1)),
 		vall: make(map[uint64]ImpactVertex),
 	}
 	s.stats.InputOptions = p.Scorer.Len()
@@ -56,32 +55,18 @@ func SolveContext(ctx context.Context, p Problem, o Options) (*Result, error) {
 		s.stats.Shards = o.Shards
 	}
 
-	// The assembler is resolved before the partition so that, when it
-	// supports streaming, impact vertices flow into assembly as regions
-	// are confirmed instead of being buffered until the end. Both
-	// built-in assemblers stream; a custom Assembler without NewStream
-	// falls back to the buffered call below.
+	// The assembly stream opens before the partition, so impact vertices
+	// flow into it as regions are confirmed instead of being buffered
+	// until the end.
 	asm := o.Assembler
 	if asm == nil {
 		asm = ClipAssembler{}
 	}
-	if sa, ok := asm.(StreamAssembler); ok {
-		s.stream = sa.NewStream(p.Scorer, o.ORVertexBudget)
-	}
+	s.stream = asm.NewStream(p.Scorer, o.ORVertexBudget)
 
 	// Stage 1 — prefilter: discard options that can never rank among
 	// the top-k anywhere in wR.
-	pf := o.Prefilter
-	if pf == nil {
-		pf = SkybandPrefilter{}
-	}
-	// A UTK prefilter without its own budget inherits the solve's, so
-	// MaxRegions bounds stage 1's internal partitioning too.
-	if u, ok := pf.(UTKPrefilter); ok && u.MaxRegions <= 0 {
-		u.MaxRegions = o.MaxRegions
-		pf = u
-	}
-	active, err := gatedFilter(ctx, p, o, pf, &s.stats)
+	active, err := gatedFilter(ctx, p, o, &s.stats)
 	if err != nil {
 		return nil, err
 	}
@@ -105,15 +90,9 @@ func SolveContext(ctx context.Context, p Problem, o Options) (*Result, error) {
 		return nil, err
 	}
 	vall := s.sortedVall()
-	var ao AssembleOutput
-	if s.stream != nil {
-		ao = s.stream.Finish()
-	} else {
-		ao = asm.Assemble(p.Scorer, vall, o.ORVertexBudget)
-	}
+	ao := s.stream.Finish()
 	s.stats.ImpactClips = ao.Clips
 	s.stats.VallSize = len(vall)
-	s.stats.StreamedVertices = s.streamed
 	s.stats.UniqueImpacts = len(ao.Constraints) - 2*p.Scorer.Dim()
 	if o.Shards > 1 {
 		s.stats.ShardStats = s.shardStats(active, ao.ShardClips)
@@ -144,16 +123,15 @@ func (s *solver) shardStats(active []int, mergeClips []int) []ShardStat {
 }
 
 // solver carries the state of one Solve call. The mutex guards every
-// shared mutable field (stats, vall, collectSets, rng) so that process()
-// may run concurrently from the parallel driver's workers.
+// shared mutable field (stats, vall, collectSets, arena) so that
+// process() may run concurrently from the parallel driver's workers.
 type solver struct {
 	prob        Problem
 	opt         Options
 	mu          sync.Mutex
-	rng         *rand.Rand
+	arena       geom.Arena              // backs the snapped region vertices
 	vall        map[uint64]ImpactVertex // keyed by the quantized vertex hash
-	stream      AssembleStream          // non-nil when the assembler streams
-	streamed    int                     // vertices pushed into the stream
+	stream      AssembleStream          // nil for UTK filtering and reverse top-k
 	stats       Stats
 	acc         *topk.ShardAccum // per-shard work attribution (sharded solves only)
 	collectSets map[int]bool     // non-nil when the UTK filter wants top-k set members
@@ -231,10 +209,22 @@ func (s *solver) newCacheShared(k int, active []int) *topk.Cache {
 // in Vall) or splits it, returning the children to process. ctx bounds
 // the sharded per-vertex evaluations; the unsharded path is cancelled
 // between regions by the driver's budget checks instead.
+//
+// Every decision process makes is a function of the region and the
+// solve's inputs alone, never of what sibling regions did first, which
+// is what makes the parallel driver's output schedule-independent:
+//   - the region's vertices are snapped to the vallQuantum grid before
+//     any top-k lookup, so a memoized result and a Vall entry are
+//     functions of their quantized key, whichever of several twin
+//     vertices (split vertices on one score-tie hyperplane) arrives
+//     first;
+//   - the random pair orders of PAC/TAS draw from a source seeded by
+//     Options.Seed and the region's snapped vertices (regionRand), not
+//     from a stream shared by the workers.
 func (s *solver) process(ctx context.Context, rc regionCtx) ([]regionCtx, error) {
 	regionsProcessedTotal.Add(1)
 	cache := rc.cache
-	verts := rc.region.VertexPoints()
+	verts := s.snappedVertices(rc.region)
 
 	// TAS*: Lemma 5 — discard consistent top-λ options, decrement k.
 	if s.opt.Alg == TASStar && !s.opt.DisableLemma5 {
@@ -307,6 +297,54 @@ func (s *solver) process(ctx context.Context, rc regionCtx) ([]regionCtx, error)
 	s.accept(rc.region, cache, verts, results)
 	return nil, nil
 }
+
+// snappedVertices returns the region's vertices rounded to the
+// vallQuantum grid — the grid the top-k memos and Vall key on — so that
+// every vertex of one grid cell is evaluated at the same point. The
+// copies are carved from the solver's arena, which is never reset
+// within a solve: Vall keeps them.
+func (s *solver) snappedVertices(region *geom.Polytope) []vec.Vector {
+	verts := region.VertexPoints()
+	m := region.Dim
+	s.mu.Lock()
+	flat := s.arena.Floats(len(verts) * m)
+	s.mu.Unlock()
+	for i, v := range verts {
+		dst := vec.Vector(flat[i*m : (i+1)*m : (i+1)*m])
+		for j, x := range v {
+			dst[j] = math.Round(x/vallQuantum) * vallQuantum
+		}
+		verts[i] = dst
+	}
+	return verts
+}
+
+// regionRand returns the source of one region's random pair orders:
+// splitmix64 seeded by Options.Seed plus the hashes of the region's
+// snapped vertices, so the draw depends on the region alone — not on
+// its vertex order, nor on which worker drew before it.
+func (s *solver) regionRand(verts []vec.Vector) *rand.Rand {
+	src := splitMix64(s.opt.Seed)
+	for _, v := range verts {
+		src += splitMix64(v.Hash(vallQuantum))
+	}
+	return rand.New(&src)
+}
+
+// splitMix64 is the splitmix64 generator as a rand.Source64. Seeding it
+// is one store, where rand.NewSource fills a 607-word table.
+type splitMix64 uint64
+
+func (x *splitMix64) Uint64() uint64 {
+	*x += 0x9e3779b97f4a7c15
+	z := uint64(*x)
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+func (x *splitMix64) Int63() int64    { return int64(x.Uint64() >> 1) }
+func (x *splitMix64) Seed(seed int64) { *x = splitMix64(seed) }
 
 // trySplit attempts the candidate pairs in order and splits the region
 // on the first hyperplane that strictly divides it.
@@ -549,7 +587,6 @@ func (s *solver) accept(region *geom.Polytope, cache *topk.Cache, verts []vec.Ve
 			// assembler the moment their region is confirmed.
 			if s.stream != nil {
 				s.stream.Push(iv)
-				s.streamed++
 			}
 		}
 	}
@@ -577,7 +614,7 @@ func (s *solver) splitCandidates(verts []vec.Vector, results []*topk.Result, va,
 		if ra.Kth() != rb.Kth() {
 			return [][2]int{{ra.Kth(), rb.Kth()}}
 		}
-		return s.orderInversionPairs(ra, rb)
+		return orderInversionPairs(ra, rb, s.regionRand(verts))
 	}
 	// Case 1: different top-k sets.
 	onlyA, onlyB := setDifferences(ra, rb)
@@ -592,10 +629,7 @@ func (s *solver) splitCandidates(verts []vec.Vector, results []*topk.Result, va,
 	}
 	// Generic Case-1 pairs (random order), used by PAC/TAS directly and
 	// as fallback for TAS*.
-	s.mu.Lock()
-	perm := s.rng.Perm(len(onlyA) * len(onlyB))
-	s.mu.Unlock()
-	for _, t := range perm {
+	for _, t := range s.regionRand(verts).Perm(len(onlyA) * len(onlyB)) {
 		cands = append(cands, [2]int{onlyA[t/len(onlyB)], onlyB[t%len(onlyB)]})
 	}
 	return cands
@@ -623,8 +657,9 @@ func setDifferences(ra, rb *topk.Result) (onlyA, onlyB []int) {
 }
 
 // orderInversionPairs lists pairs whose relative order differs between
-// the two results (used by PAC's order-sensitive refinement).
-func (s *solver) orderInversionPairs(ra, rb *topk.Result) [][2]int {
+// the two results (used by PAC's order-sensitive refinement), shuffled
+// by rng.
+func orderInversionPairs(ra, rb *topk.Result, rng *rand.Rand) [][2]int {
 	posB := make(map[int]int, len(rb.Ordered))
 	for pos, x := range rb.Ordered {
 		posB[x] = pos
@@ -638,9 +673,7 @@ func (s *solver) orderInversionPairs(ra, rb *topk.Result) [][2]int {
 			}
 		}
 	}
-	s.mu.Lock()
-	s.rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	s.mu.Unlock()
+	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
 	return out
 }
 
@@ -729,7 +762,6 @@ func utkFilter(ctx context.Context, p Problem, opt Options) ([]int, error) {
 	s := &solver{
 		prob:        p,
 		opt:         opt,
-		rng:         rand.New(rand.NewSource(1)),
 		vall:        make(map[uint64]ImpactVertex),
 		collectSets: make(map[int]bool),
 	}

@@ -13,10 +13,9 @@ import (
 // intersection of the option box with the impact halfspaces of every
 // vertex. Implementations must be deterministic for a given Vall.
 //
-// Assemblers that also implement StreamAssembler consume impact
-// vertices as the partition stage produces them; the solver prefers
-// that path (see stream.go) and only buffers Vall for assemblers that
-// lack it.
+// A solve always streams through StreamAssembler (see stream.go);
+// Assemble is the buffered equivalent over a finished Vall, kept as the
+// reference the streaming path is tested against.
 type Assembler interface {
 	// Name identifies the assembler in stats and logs.
 	Name() string

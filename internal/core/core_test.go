@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -486,8 +487,12 @@ func TestUTKFilterExactness(t *testing.T) {
 		}
 	}
 	// UTK is the tightest filter: no larger than the r-skyband.
-	if len(utk) > prob.Scorer.Len() {
-		t.Error("UTK output larger than the dataset")
+	sky, err := SkybandPrefilter{}.Filter(context.Background(), prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(utk) > len(sky) {
+		t.Errorf("UTK |D'| = %d exceeds r-skyband |D'| = %d", len(utk), len(sky))
 	}
 }
 

@@ -17,13 +17,15 @@
 // of a new option, minimum-cost enhancement of an existing option, and
 // the budgeted market-impact search.
 //
-// A solve runs as a three-stage pipeline — Prefilter reduces the
-// dataset to the candidates that can appear in any top-k result over
-// wR, Partition recursively splits wR on score-tie hyperplanes until
-// every region has an invariant top-k outcome, and Assemble intersects
-// the impact halfspaces into oR (Theorem 1). Each stage sits behind an
-// interface selected via Options, and every entry point honors context
-// cancellation.
+// A solve runs as a fixed three-stage pipeline — the r-skyband
+// prefilter reduces the dataset to the candidates that can appear in
+// any top-k result over wR, the partition recursively splits wR on
+// score-tie hyperplanes until every region has an invariant top-k
+// outcome, and assembly intersects the impact halfspaces into oR
+// (Theorem 1), streamed as regions are confirmed. Every split and
+// accept decision depends on its region alone, so the answer does not
+// depend on Options.Workers or on scheduling, and every entry point
+// honors context cancellation.
 //
 // # Generation pinning and the hyperplane cache
 //

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"toprr/internal/skyband"
-	"toprr/internal/vec"
 )
 
 // TestUTKFilterCoversSampledTopK: every option observed in a top-k
@@ -83,37 +82,6 @@ func TestUTKFilterContextCancelled(t *testing.T) {
 	cancel()
 	if _, err := UTKFilterContext(ctx, prob.Scorer.Points(), prob.K, prob.WR); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-// TestUTKPrefilterSolveMatches: plugging the UTK filter into the solve
-// pipeline must not change oR, only (possibly) |D'|.
-func TestUTKPrefilterSolveMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(83))
-	for iter := 0; iter < 3; iter++ {
-		d := 2 + iter
-		prob := randomProblem(rng, 100, d, 3)
-		base, err := Solve(prob, Options{Alg: TASStar})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Solve(prob, Options{Alg: TASStar, Prefilter: UTKPrefilter{}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Stats.FilteredOptions > base.Stats.FilteredOptions {
-			t.Errorf("iter %d: UTK |D'| = %d exceeds r-skyband |D'| = %d",
-				iter, res.Stats.FilteredOptions, base.Stats.FilteredOptions)
-		}
-		for probe := 0; probe < 300; probe++ {
-			o := vec.New(d)
-			for j := range o {
-				o[j] = rng.Float64()
-			}
-			if base.IsTopRanking(o) != res.IsTopRanking(o) {
-				t.Fatalf("iter %d: UTK-prefiltered solve differs at %v", iter, o)
-			}
-		}
 	}
 }
 

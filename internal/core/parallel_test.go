@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -8,8 +9,8 @@ import (
 )
 
 // TestParallelMatchesSequential verifies that the worker-pool driver
-// computes the same oR as the sequential driver (membership-compared;
-// split choices may differ, the region may not).
+// computes the same oR as the sequential driver: the same constraints
+// bit for bit, since every split decision depends on its region alone.
 func TestParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	for iter := 0; iter < 6; iter++ {
@@ -23,6 +24,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		assertSameOutput(t,
+			AssembleOutput{Constraints: seq.ORConstraints, OR: seq.OR, Clips: seq.Stats.ImpactClips},
+			AssembleOutput{Constraints: par.ORConstraints, OR: par.OR, Clips: par.Stats.ImpactClips},
+			fmt.Sprintf("iter %d", iter))
 		for probe := 0; probe < 400; probe++ {
 			o := vec.New(d)
 			for j := range o {

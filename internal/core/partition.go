@@ -1,149 +1,10 @@
 package core
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"time"
-
-	"toprr/internal/geom"
 )
-
-// Traversal selects the order in which the partition stage expands the
-// region tree. All orders produce the same oR (the set of confirmed
-// regions is traversal-invariant); they differ in memory footprint and
-// in how quickly the budget valve bites on pathological inputs.
-type Traversal int
-
-const (
-	// DepthFirst (the default) expands the most recently produced
-	// region first. Minimal frontier memory.
-	DepthFirst Traversal = iota
-	// BreadthFirst expands regions level by level, which keeps sibling
-	// regions of similar size together and makes progress uniform
-	// across wR — useful when a timeout may interrupt the solve.
-	BreadthFirst
-	// PriorityOrder expands the geometrically largest frontier region
-	// first (by bounding-box extent), so the biggest undecided chunks
-	// of wR are resolved earliest.
-	PriorityOrder
-)
-
-// String returns a short name for the traversal order.
-func (t Traversal) String() string {
-	switch t {
-	case DepthFirst:
-		return "dfs"
-	case BreadthFirst:
-		return "bfs"
-	case PriorityOrder:
-		return "priority"
-	default:
-		return fmt.Sprintf("traversal(%d)", int(t))
-	}
-}
-
-// frontier is the partition stage's scheduling interface: the set of
-// regions awaiting processing. Implementations are used only from the
-// scheduler goroutine and need not be thread-safe.
-type frontier interface {
-	push(regionCtx)
-	pop() (regionCtx, bool)
-	len() int
-}
-
-// newFrontier builds the frontier for a traversal order.
-func newFrontier(t Traversal) frontier {
-	switch t {
-	case BreadthFirst:
-		return &fifoFrontier{}
-	case PriorityOrder:
-		return &priorityFrontier{}
-	default:
-		return &lifoFrontier{}
-	}
-}
-
-// lifoFrontier is a stack (depth-first).
-type lifoFrontier struct{ items []regionCtx }
-
-func (f *lifoFrontier) push(rc regionCtx) { f.items = append(f.items, rc) }
-func (f *lifoFrontier) len() int          { return len(f.items) }
-func (f *lifoFrontier) pop() (regionCtx, bool) {
-	if len(f.items) == 0 {
-		return regionCtx{}, false
-	}
-	rc := f.items[len(f.items)-1]
-	f.items = f.items[:len(f.items)-1]
-	return rc, true
-}
-
-// fifoFrontier is a queue (breadth-first) with amortized compaction.
-type fifoFrontier struct {
-	items []regionCtx
-	head  int
-}
-
-func (f *fifoFrontier) push(rc regionCtx) { f.items = append(f.items, rc) }
-func (f *fifoFrontier) len() int          { return len(f.items) - f.head }
-func (f *fifoFrontier) pop() (regionCtx, bool) {
-	if f.head >= len(f.items) {
-		return regionCtx{}, false
-	}
-	rc := f.items[f.head]
-	f.items[f.head] = regionCtx{}
-	f.head++
-	if f.head > 64 && f.head*2 >= len(f.items) {
-		f.items = append(f.items[:0], f.items[f.head:]...)
-		f.head = 0
-	}
-	return rc, true
-}
-
-// priorityFrontier pops the region with the largest bounding-box extent
-// first.
-type priorityFrontier struct{ h prioHeap }
-
-type prioItem struct {
-	rc   regionCtx
-	size float64
-}
-
-type prioHeap []prioItem
-
-func (h prioHeap) Len() int            { return len(h) }
-func (h prioHeap) Less(i, j int) bool  { return h[i].size > h[j].size }
-func (h prioHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *prioHeap) Push(x interface{}) { *h = append(*h, x.(prioItem)) }
-func (h *prioHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-// regionExtent scores a region by the sum of its bounding-box side
-// lengths — cheap, and monotone under splitting.
-func regionExtent(p *geom.Polytope) float64 {
-	lo, hi := p.BoundingBox()
-	s := 0.0
-	for j := range lo {
-		s += hi[j] - lo[j]
-	}
-	return s
-}
-
-func (f *priorityFrontier) push(rc regionCtx) {
-	heap.Push(&f.h, prioItem{rc: rc, size: regionExtent(rc.region)})
-}
-func (f *priorityFrontier) len() int { return len(f.h) }
-func (f *priorityFrontier) pop() (regionCtx, bool) {
-	if len(f.h) == 0 {
-		return regionCtx{}, false
-	}
-	return heap.Pop(&f.h).(prioItem).rc, true
-}
 
 // checkBudget enforces context cancellation, MaxRegions and Timeout.
 func (s *solver) checkBudget(ctx context.Context, start time.Time) error {
@@ -160,33 +21,32 @@ func (s *solver) checkBudget(ctx context.Context, start time.Time) error {
 }
 
 // drive runs the partition stage: it processes the region tree from
-// root until the frontier is exhausted, honoring context cancellation
-// and the recursion and wall-clock budgets, sequentially or with a
+// root until no region is left, honoring context cancellation and the
+// recursion and wall-clock budgets, sequentially or with a
 // channel-based worker pool when Options.Workers > 1 (the parallelism
-// direction of the paper's future-work section; results are identical,
-// traversal order and the Seed-dependent split choices may differ).
+// direction of the paper's future-work section). Pending regions sit on
+// a stack, so the sequential driver expands the tree depth-first. Every
+// accept and split decision is a function of its region alone (see
+// process), so both drivers confirm the same regions and collect the
+// same Vall whatever the schedule.
 func (s *solver) drive(ctx context.Context, root regionCtx, start time.Time) error {
-	f := newFrontier(s.opt.Traversal)
-	f.push(root)
-	if s.opt.Workers <= 1 {
-		for {
-			rc, ok := f.pop()
-			if !ok {
-				return nil
-			}
-			if err := s.checkBudget(ctx, start); err != nil {
-				return err
-			}
-			children, err := s.process(ctx, rc)
-			if err != nil {
-				return err
-			}
-			for _, c := range children {
-				f.push(c)
-			}
-		}
+	if s.opt.Workers > 1 {
+		return s.driveParallel(ctx, root, start)
 	}
-	return s.driveParallel(ctx, f, start)
+	stack := []regionCtx{root}
+	for len(stack) > 0 {
+		rc := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if err := s.checkBudget(ctx, start); err != nil {
+			return err
+		}
+		children, err := s.process(ctx, rc)
+		if err != nil {
+			return err
+		}
+		stack = append(stack, children...)
+	}
+	return nil
 }
 
 // processOutcome is a worker's report back to the scheduler.
@@ -196,12 +56,13 @@ type processOutcome struct {
 }
 
 // driveParallel is the worker-pool driver. A single scheduler goroutine
-// (this one) owns the frontier and dispatches regions to workers over a
-// channel; workers report children and errors back on a second channel.
+// (this one) owns the stack of pending regions and dispatches them to
+// workers over a channel; workers report children and errors back on a
+// second channel.
 // The scheduler stops dispatching on the first error or context
 // cancellation, drains in-flight work, and only then returns, so no
 // worker is left writing to a closed or abandoned channel.
-func (s *solver) driveParallel(ctx context.Context, f frontier, start time.Time) error {
+func (s *solver) driveParallel(ctx context.Context, root regionCtx, start time.Time) error {
 	tasks := make(chan regionCtx)
 	outcomes := make(chan processOutcome)
 	done := make(chan struct{})
@@ -225,6 +86,7 @@ func (s *solver) driveParallel(ctx context.Context, f frontier, start time.Time)
 	defer close(tasks)
 
 	var (
+		stack       = []regionCtx{root}
 		firstErr    error
 		inflight    int
 		pending     regionCtx
@@ -232,8 +94,9 @@ func (s *solver) driveParallel(ctx context.Context, f frontier, start time.Time)
 		ctxDone     = ctx.Done()
 	)
 	for {
-		if !havePending && firstErr == nil {
-			pending, havePending = f.pop()
+		if !havePending && firstErr == nil && len(stack) > 0 {
+			pending, havePending = stack[len(stack)-1], true
+			stack = stack[:len(stack)-1]
 		}
 		if inflight == 0 && (firstErr != nil || !havePending) {
 			return firstErr
@@ -252,9 +115,7 @@ func (s *solver) driveParallel(ctx context.Context, f frontier, start time.Time)
 			if out.err != nil && firstErr == nil {
 				firstErr = out.err
 			}
-			for _, c := range out.children {
-				f.push(c)
-			}
+			stack = append(stack, out.children...)
 		case <-ctxDone:
 			if firstErr == nil {
 				firstErr = ctx.Err()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -36,7 +35,6 @@ func ReverseTopKContext(ctx context.Context, pts []vec.Vector, k int, wr *geom.P
 	s := &solver{
 		prob: p,
 		opt:  opt,
-		rng:  rand.New(rand.NewSource(opt.Seed + 1)),
 		vall: make(map[uint64]ImpactVertex),
 	}
 	s.stats.InputOptions = p.Scorer.Len()

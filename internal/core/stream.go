@@ -35,11 +35,9 @@ const impactQuantum = 1e-9
 // ordered.
 const vallQuantum = 1e-10
 
-// StreamAssembler is implemented by assemblers that can consume impact
-// vertices incrementally as the partition stage confirms regions. The
-// solver streams by default whenever Options.Assembler implements it
-// (both built-in assemblers do); a custom Assembler without NewStream
-// falls back to the buffered call.
+// StreamAssembler is an assembler that consumes impact vertices
+// incrementally as the partition stage confirms regions; every solve
+// assembles this way (Options.Assembler).
 type StreamAssembler interface {
 	Assembler
 	// NewStream opens a streaming assembly for one solve. The returned

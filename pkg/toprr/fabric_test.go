@@ -111,17 +111,19 @@ func TestFabricEngineMatchesOracle(t *testing.T) {
 					t.Fatalf("workers=%d %s: oracle: %v", nw, stage, err)
 				}
 				for s, eng := range engines {
-					got, err := eng.Solve(ctx, query)
-					if err != nil {
-						t.Fatalf("workers=%d shards=%d %s: %v", nw, s, stage, err)
+					for _, opt := range comparedOptions() {
+						query.Options = opt
+						got, err := eng.Solve(ctx, query)
+						if err != nil {
+							t.Fatalf("workers=%d shards=%d %s: %v", nw, s, stage, err)
+						}
+						if len(got.Vall) != len(want.Vall) {
+							t.Fatalf("workers=%d shards=%d %s: |Vall| %d != %d", nw, s, stage, len(got.Vall), len(want.Vall))
+						}
+						tag := fmt.Sprintf("workers=%d shards=%d %s", nw, s, stage)
+						sameConstraints(t, tag, got, want)
+						sameRegion(t, tag, rng, d, got, want)
 					}
-					if len(got.Vall) != len(want.Vall) {
-						t.Fatalf("workers=%d shards=%d %s: |Vall| %d != %d", nw, s, stage, len(got.Vall), len(want.Vall))
-					}
-					if len(got.ORConstraints) != len(want.ORConstraints) {
-						t.Fatalf("workers=%d shards=%d %s: constraints %d != %d", nw, s, stage, len(got.ORConstraints), len(want.ORConstraints))
-					}
-					sameRegion(t, fmt.Sprintf("workers=%d shards=%d %s", nw, s, stage), rng, d, got, want)
 				}
 			}
 		}
@@ -131,16 +133,19 @@ func TestFabricEngineMatchesOracle(t *testing.T) {
 		// the coordinator re-pins its workers and the distributed
 		// answers must track the oracle generation for generation.
 		for step := 0; step < 2; step++ {
+			// n tracks the length each op sees: a batch applies in order.
+			n := oracle.Len()
 			var ops []toprr.Op
 			for o := 0; o < 1+rng.Intn(3); o++ {
 				switch rng.Intn(3) {
 				case 0:
 					ops = append(ops, toprr.Insert(randomPoint(rng, d)))
 				case 1:
-					ops = append(ops, toprr.Update(rng.Intn(oracle.Len()), randomPoint(rng, d)))
+					ops = append(ops, toprr.Update(rng.Intn(n), randomPoint(rng, d)))
 				default:
-					if oracle.Len() > 40 {
-						ops = append(ops, toprr.Delete(rng.Intn(oracle.Len())))
+					if n > 40 {
+						ops = append(ops, toprr.Delete(rng.Intn(n)))
+						n--
 					} else {
 						ops = append(ops, toprr.Insert(randomPoint(rng, d)))
 					}
@@ -233,14 +238,18 @@ func TestFabricWorkerKillFallsBackThenRecovers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", stage, err)
 		}
-		got, err := eng.Solve(ctx, query)
-		if err != nil {
-			t.Fatalf("%s: %v", stage, err)
+		for _, opt := range comparedOptions() {
+			query.Options = opt
+			got, err := eng.Solve(ctx, query)
+			if err != nil {
+				t.Fatalf("%s: %v", stage, err)
+			}
+			if len(got.Vall) != len(want.Vall) {
+				t.Fatalf("%s: distributed solve diverged from oracle", stage)
+			}
+			sameConstraints(t, stage, got, want)
+			sameRegion(t, stage, rng, 3, got, want)
 		}
-		if len(got.Vall) != len(want.Vall) || len(got.ORConstraints) != len(want.ORConstraints) {
-			t.Fatalf("%s: distributed solve diverged from oracle", stage)
-		}
-		sameRegion(t, stage, rng, 3, got, want)
 	}
 
 	solveCheck("warm")
@@ -353,14 +362,18 @@ func TestFabricHedgesSlowWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.Solve(ctx, query)
-	if err != nil {
-		t.Fatal(err)
+	for _, opt := range comparedOptions() {
+		query.Options = opt
+		got, err := eng.Solve(ctx, query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Vall) != len(want.Vall) {
+			t.Fatalf("hedged solve |Vall| %d != %d", len(got.Vall), len(want.Vall))
+		}
+		sameConstraints(t, "hedged", got, want)
+		sameRegion(t, "hedged", rng, 3, got, want)
 	}
-	if len(got.Vall) != len(want.Vall) {
-		t.Fatalf("hedged solve |Vall| %d != %d", len(got.Vall), len(want.Vall))
-	}
-	sameRegion(t, "hedged", rng, 3, got, want)
 	if fs := eng.FabricStats(); fs.HedgedDispatches == 0 {
 		t.Fatalf("no hedged dispatches recorded: %+v", fs)
 	}
@@ -408,14 +421,18 @@ func TestFabricStaleGenerationSolvesLocally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.SolveAt(ctx, snap, query)
-	if err != nil {
-		t.Fatal(err)
+	for _, opt := range comparedOptions() {
+		query.Options = opt
+		got, err := eng.SolveAt(ctx, snap, query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Vall) != len(want.Vall) {
+			t.Fatalf("pinned |Vall| %d != %d", len(got.Vall), len(want.Vall))
+		}
+		sameConstraints(t, "pinned", got, want)
+		sameRegion(t, "pinned", rng, 3, got, want)
 	}
-	if len(got.Vall) != len(want.Vall) {
-		t.Fatalf("pinned |Vall| %d != %d", len(got.Vall), len(want.Vall))
-	}
-	sameRegion(t, "pinned", rng, 3, got, want)
 	// A pinned-old-generation solve runs on a solve-local cache the
 	// remote plane is not attached to: no doomed round trips, no remote
 	// partials — the workers hold the newer generation.
@@ -424,6 +441,7 @@ func TestFabricStaleGenerationSolvesLocally(t *testing.T) {
 	}
 
 	// The current generation, by contrast, still scatters.
+	query.Options = oracleOptions()
 	cur, err := eng.Solve(ctx, query)
 	if err != nil {
 		t.Fatal(err)
@@ -469,11 +487,15 @@ func TestFabricDrainKeepsSolving(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.Solve(ctx, query)
-	if err != nil {
-		t.Fatal(err)
+	for _, opt := range comparedOptions() {
+		query.Options = opt
+		got, err := eng.Solve(ctx, query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameConstraints(t, "drained", got, want)
+		sameRegion(t, "drained", rng, 3, got, want)
 	}
-	sameRegion(t, "drained", rng, 3, got, want)
 	if fs := eng.FabricStats(); fs.RemotePartials != 0 && fs.Fallbacks == 0 {
 		t.Fatalf("drained engine neither local-only nor falling back: %+v", fs)
 	}
@@ -518,14 +540,19 @@ func TestFabricExternalWorkers(t *testing.T) {
 				if err != nil {
 					t.Fatalf("shards=%d %s: oracle: %v", s, stage, err)
 				}
-				got, err := eng.Solve(ctx, query)
-				if err != nil {
-					t.Fatalf("shards=%d %s: %v", s, stage, err)
+				for _, opt := range comparedOptions() {
+					query.Options = opt
+					got, err := eng.Solve(ctx, query)
+					if err != nil {
+						t.Fatalf("shards=%d %s: %v", s, stage, err)
+					}
+					if len(got.Vall) != len(want.Vall) {
+						t.Fatalf("shards=%d %s: distributed solve diverged from oracle", s, stage)
+					}
+					tag := fmt.Sprintf("external shards=%d %s", s, stage)
+					sameConstraints(t, tag, got, want)
+					sameRegion(t, tag, rng, d, got, want)
 				}
-				if len(got.Vall) != len(want.Vall) || len(got.ORConstraints) != len(want.ORConstraints) {
-					t.Fatalf("shards=%d %s: distributed solve diverged from oracle", s, stage)
-				}
-				sameRegion(t, fmt.Sprintf("external shards=%d %s", s, stage), rng, d, got, want)
 			}
 		}
 		check("fresh")

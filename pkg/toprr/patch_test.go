@@ -126,16 +126,20 @@ func TestEnginePatchOnInsert(t *testing.T) {
 			// cold engine over the same points.
 			q := randomQuery(rng, d, 3)
 			q.Options = oracleOptions()
-			got, err := engine.Solve(ctx, q)
-			if err != nil {
-				t.Fatal(err)
-			}
 			fresh := toprr.NewEngine(engine.Scorer().Points(), toprr.WithShards(shards))
 			want, err := fresh.Solve(ctx, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameRegion(t, "post-patch", rng, d, got, want)
+			for _, opt := range comparedOptions() {
+				q.Options = opt
+				got, err := engine.Solve(ctx, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameConstraints(t, "post-patch", got, want)
+				sameRegion(t, "post-patch", rng, d, got, want)
+			}
 		})
 	}
 }
@@ -243,21 +247,23 @@ func TestEnginePatchedSolveMatchesFresh(t *testing.T) {
 			for q := 0; q < 2; q++ {
 				query := randomQuery(rng, d, 1+rng.Intn(5))
 				query.Options = oracleOptions()
-				got, err := engine.Solve(ctx, query)
-				if err != nil {
-					t.Fatalf("shards=%d batch=%d: %v", shards, batch, err)
-				}
 				want, err := fresh.Solve(ctx, query)
 				if err != nil {
 					t.Fatalf("shards=%d batch=%d: fresh: %v", shards, batch, err)
 				}
-				if len(got.Vall) != len(want.Vall) {
-					t.Fatalf("shards=%d batch=%d: |Vall| %d != %d", shards, batch, len(got.Vall), len(want.Vall))
+				for _, opt := range comparedOptions() {
+					query.Options = opt
+					got, err := engine.Solve(ctx, query)
+					if err != nil {
+						t.Fatalf("shards=%d batch=%d: %v", shards, batch, err)
+					}
+					if len(got.Vall) != len(want.Vall) {
+						t.Fatalf("shards=%d batch=%d: |Vall| %d != %d", shards, batch, len(got.Vall), len(want.Vall))
+					}
+					tag := fmt.Sprintf("shards=%d batch=%d", shards, batch)
+					sameConstraints(t, tag, got, want)
+					sameRegion(t, tag, rng, d, got, want)
 				}
-				if len(got.ORConstraints) != len(want.ORConstraints) {
-					t.Fatalf("shards=%d batch=%d: constraints %d != %d", shards, batch, len(got.ORConstraints), len(want.ORConstraints))
-				}
-				sameRegion(t, fmt.Sprintf("shards=%d batch=%d", shards, batch), rng, d, got, want)
 			}
 		}
 		stats := engine.CacheStats()

@@ -2,6 +2,7 @@ package toprr_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"sync"
@@ -11,10 +12,18 @@ import (
 	"toprr/pkg/toprr"
 )
 
-// oracleOptions pins the solve deterministic (one worker, fixed seed)
-// so sharded and unsharded engines run bit-identical recursions.
+// oracleOptions pins the reference side of the oracle suites to the
+// sequential partition (one worker) at the engine's default algorithm
+// and seed.
 func oracleOptions() *toprr.Options {
-	return &toprr.Options{Alg: toprr.TASStar, Workers: 1, Seed: 17}
+	return &toprr.Options{Alg: toprr.TASStar, Workers: 1}
+}
+
+// comparedOptions lists the passes a compared side runs: the pinned
+// oracleOptions, then the engine's defaults (nil), whose parallel
+// partition must reproduce the reference answer bit for bit.
+func comparedOptions() []*toprr.Options {
+	return []*toprr.Options{oracleOptions(), nil}
 }
 
 // sameRegion cross-checks two results by membership sampling.
@@ -62,19 +71,20 @@ func TestShardedEngineMatchesOracle(t *testing.T) {
 					t.Fatalf("%s: oracle: %v", stage, err)
 				}
 				for s, eng := range engines {
-					got, err := eng.Solve(ctx, query)
-					if err != nil {
-						t.Fatalf("%s: shards=%d: %v", stage, s, err)
+					for _, opt := range comparedOptions() {
+						query.Options = opt
+						got, err := eng.Solve(ctx, query)
+						if err != nil {
+							t.Fatalf("%s: shards=%d: %v", stage, s, err)
+						}
+						// The recursion — and hence Vall and the
+						// constraint list — is identical.
+						if len(got.Vall) != len(want.Vall) {
+							t.Fatalf("%s: shards=%d: |Vall| %d != %d", stage, s, len(got.Vall), len(want.Vall))
+						}
+						sameConstraints(t, fmt.Sprintf("%s: shards=%d", stage, s), got, want)
+						sameRegion(t, stage, rng, d, got, want)
 					}
-					// Deterministic options make the recursion — and
-					// hence Vall and the constraint list — identical.
-					if len(got.Vall) != len(want.Vall) {
-						t.Fatalf("%s: shards=%d: |Vall| %d != %d", stage, s, len(got.Vall), len(want.Vall))
-					}
-					if len(got.ORConstraints) != len(want.ORConstraints) {
-						t.Fatalf("%s: shards=%d: constraints %d != %d", stage, s, len(got.ORConstraints), len(want.ORConstraints))
-					}
-					sameRegion(t, stage, rng, d, got, want)
 				}
 			}
 		}
@@ -85,16 +95,19 @@ func TestShardedEngineMatchesOracle(t *testing.T) {
 		// every engine alike; warm caches must advance per shard without
 		// diverging from the oracle.
 		for step := 0; step < 3; step++ {
+			// n tracks the length each op sees: a batch applies in order.
+			n := oracle.Len()
 			var ops []toprr.Op
 			for o := 0; o < 1+rng.Intn(3); o++ {
 				switch rng.Intn(3) {
 				case 0:
 					ops = append(ops, toprr.Insert(randomPoint(rng, d)))
 				case 1:
-					ops = append(ops, toprr.Update(rng.Intn(oracle.Len()), randomPoint(rng, d)))
+					ops = append(ops, toprr.Update(rng.Intn(n), randomPoint(rng, d)))
 				default:
-					if oracle.Len() > 40 {
-						ops = append(ops, toprr.Delete(rng.Intn(oracle.Len())))
+					if n > 40 {
+						ops = append(ops, toprr.Delete(rng.Intn(n)))
+						n--
 					} else {
 						ops = append(ops, toprr.Insert(randomPoint(rng, d)))
 					}
@@ -159,14 +172,18 @@ func TestShardedEngineReopenKeepsLayout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := re.Solve(ctx, query)
-		if err != nil {
-			t.Fatal(err)
+		for _, opt := range comparedOptions() {
+			query.Options = opt
+			got, err := re.Solve(ctx, query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Vall) != len(want.Vall) {
+				t.Fatalf("reopened |Vall| %d != %d", len(got.Vall), len(want.Vall))
+			}
+			sameConstraints(t, "reopen", got, want)
+			sameRegion(t, "reopen", rng, 3, got, want)
 		}
-		if len(got.Vall) != len(want.Vall) {
-			t.Fatalf("reopened |Vall| %d != %d", len(got.Vall), len(want.Vall))
-		}
-		sameRegion(t, "reopen", rng, 3, got, want)
 	}
 }
 

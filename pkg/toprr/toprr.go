@@ -33,13 +33,8 @@ type (
 	// MarketImpactResult is the outcome of the budgeted market-impact
 	// search.
 	MarketImpactResult = core.MarketImpactResult
-	// Prefilter is the candidate-filtering pipeline stage.
-	Prefilter = core.Prefilter
 	// Assembler is the oR-assembly pipeline stage.
 	Assembler = core.Assembler
-	// Traversal selects the region scheduling order of the partition
-	// stage.
-	Traversal = core.Traversal
 )
 
 // The three TopRR algorithms of the paper.
@@ -147,22 +142,11 @@ func Delete(i int) Op { return store.Delete(i) }
 // product).
 func Update(i int, p vec.Vector) Op { return store.Update(i, p) }
 
-// Region traversal orders for Options.Traversal.
-const (
-	DepthFirst    = core.DepthFirst
-	BreadthFirst  = core.BreadthFirst
-	PriorityOrder = core.PriorityOrder
-)
-
-// Pipeline stage strategies for Options.Prefilter.
+// Pipeline stages.
 type (
-	// SkybandPrefilter is the default r-skyband candidate filter.
+	// SkybandPrefilter is the r-skyband candidate filter every solve
+	// runs first.
 	SkybandPrefilter = core.SkybandPrefilter
-	// UTKPrefilter computes the minimal candidate set via kIPR
-	// partitioning (slower, smallest |D'|).
-	UTKPrefilter = core.UTKPrefilter
-	// NoPrefilter keeps every option active.
-	NoPrefilter = core.NoPrefilter
 	// ClipAssembler is the default incremental-clipping assembler.
 	ClipAssembler = core.ClipAssembler
 )

@@ -82,8 +82,10 @@ func TestWatchNotificationOracle(t *testing.T) {
 			eng := toprr.NewEngine(pts, toprr.WithShards(shards))
 			defer eng.Close()
 
-			// Three standing queries at distinct k over distinct regions,
-			// deterministic solver options so the oracle comparison is exact.
+			// Standing queries at distinct k over distinct regions: three
+			// evaluate with the pinned oracle options, three with the
+			// engine's defaults. The oracle solves with the pinned options,
+			// so both comparisons are exact.
 			type watcher struct {
 				sub    *toprr.Subscription
 				q      toprr.Query
@@ -91,11 +93,11 @@ func TestWatchNotificationOracle(t *testing.T) {
 				last   *toprr.Result
 			}
 			var ws []*watcher
-			for i := 0; i < 3; i++ {
-				q := wideQuery(rng, d, 1+i)
+			for i, opt := range []*toprr.Options{oracleOptions(), oracleOptions(), oracleOptions(), nil, nil, nil} {
+				q := wideQuery(rng, d, 1+i%3)
 				sub, err := eng.Watch(q.K, q.WR, toprr.WatchOptions{
 					Debounce: -1, // evaluate on the next hub cycle: the oracle checks per batch
-					Options:  oracleOptions(),
+					Options:  opt,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -108,6 +110,7 @@ func TestWatchNotificationOracle(t *testing.T) {
 				if evs[0].Fingerprint != toprr.RegionFingerprint(evs[0].Result) {
 					t.Fatalf("watcher %d: initial fingerprint mismatch", i)
 				}
+				q.Options = oracleOptions()
 				ws = append(ws, &watcher{sub: sub, q: q, lastFP: evs[0].Fingerprint, last: evs[0].Result})
 			}
 
