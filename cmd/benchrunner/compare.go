@@ -131,7 +131,7 @@ func fabricRows(r record) map[string][9]float64 {
 // contracts, which need no baseline record: every distributed solve
 // must be bit-identical to the in-process solve of the same query (zero
 // violations); a sharded plane (S > 1) must actually scatter (remote
-// partials and wire bytes nonzero) while the unsharded plane must not
+// partials and wire bytes nonzero) while the one-shard plane must not
 // (nothing to scatter at S = 1); and the pipelined client's best RPC
 // batches must beat the serial referee's summed over the whole shard
 // grid — both sides run on the same machine in the same process, so
@@ -152,7 +152,7 @@ func compareFabricRows(fresh record) []string {
 		}
 		if shards == "1" {
 			if partials != 0 {
-				fails = append(fails, fmt.Sprintf("%s/shards=1: unsharded plane scattered %.0f partials, want 0",
+				fails = append(fails, fmt.Sprintf("%s/shards=1: one-shard plane scattered %.0f partials, want 0",
 					fresh.ID, partials))
 			}
 		} else {

@@ -30,7 +30,7 @@
 // Each dataset solves on a sharded plane (-shards, or a per-dataset
 // "shards" field on create; default GOMAXPROCS-derived): the option set
 // splits into stable shards with independent caches and the solver fans
-// out across them, producing identical regions to an unsharded solve.
+// out across them, producing the identical region at every shard count.
 // /v1/stats breaks the cache counters down per shard.
 //
 // With -fabric-workers the default dataset becomes a solve-fabric

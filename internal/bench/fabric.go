@@ -172,9 +172,9 @@ func fabricRPCTime(addr, name string, shards int, flat []float64, serial bool) (
 // violations column counts remote results whose region fingerprint or
 // constraint count diverged from the in-process solve of the same query
 // — the bit-identity contract says it must read 0 everywhere. At S=1
-// the plane is unsharded and has nothing to scatter, so the remote
-// columns record pure local solving over an idle fabric (zero partials,
-// zero violations by construction).
+// the one-shard plane has nothing to scatter, so the remote columns
+// record pure local solving over an idle fabric (zero partials, zero
+// violations by construction).
 func Fabric(s Scale) []*Table {
 	ds := s.data(dataset.Independent, DefaultN, DefaultD)
 	regions := s.Regions(DefaultD-1, DefaultSigma, 1, 8484)

@@ -58,32 +58,21 @@ func warmRegistry(reg *topk.Registry, ws []vec.Vector) {
 
 // lookupScored replays the vertices against the registry's current
 // whole-dataset cache and returns the options scored to serve them —
-// zero when every lookup hits. Sharded caches attribute scoring work
-// through a ShardAccum; unsharded misses each rescore the full dataset.
-func lookupScored(reg *topk.Registry, ws []vec.Vector, shards, n int) (scored int, keys []string) {
+// zero when every lookup hits — as attributed through a ShardAccum.
+func lookupScored(reg *topk.Registry, ws []vec.Vector, shards int) (scored int, keys []string) {
 	ctx := context.Background()
 	c := reg.Get(patchBenchK, nil)
 	keys = make([]string, len(ws))
-	if shards > 1 {
-		acc := topk.NewShardAccum(shards)
-		for i, w := range ws {
-			r, _, err := c.LookupCtx(ctx, w, acc)
-			if err != nil {
-				panic("bench: patch lookup failed: " + err.Error())
-			}
-			keys[i] = r.OrderKey()
-		}
-		for i := range acc.Scored {
-			scored += int(acc.Scored[i].Load())
-		}
-		return scored, keys
-	}
+	acc := topk.NewShardAccum(shards)
 	for i, w := range ws {
-		r, hit := c.Lookup(w)
-		if !hit {
-			scored += n
+		r, _, err := c.LookupCtx(ctx, w, acc)
+		if err != nil {
+			panic("bench: patch lookup failed: " + err.Error())
 		}
 		keys[i] = r.OrderKey()
+	}
+	for i := range acc.Scored {
+		scored += int(acc.Scored[i].Load())
 	}
 	return scored, keys
 }
@@ -138,9 +127,9 @@ func Patch(s Scale) []*Table {
 		// Re-warming: the patched side should hit everywhere (its extra
 		// cost stays the advance-time splices), the cold side rescoreds
 		// whatever the drop path discarded.
-		postScored, patchKeys := lookupScored(regPatch, ws, shards, len(pts))
+		postScored, patchKeys := lookupScored(regPatch, ws, shards)
 		patchScored += postScored
-		coldScored, coldKeys := lookupScored(regCold, ws, shards, len(pts))
+		coldScored, coldKeys := lookupScored(regCold, ws, shards)
 		for i := range patchKeys {
 			if patchKeys[i] != coldKeys[i] {
 				panic(fmt.Sprintf("bench: patched and recomputed rankings diverge at vertex %d (shards=%d)", i, shards))
@@ -161,7 +150,7 @@ func Patch(s Scale) []*Table {
 				panic("bench: dominated insert patched an entry")
 			}
 			drops = sum.MergedDropped + (regPatch.Evictions() - evBefore)
-			if again, _ := lookupScored(regPatch, ws, shards, len(pts)); again != 0 {
+			if again, _ := lookupScored(regPatch, ws, shards); again != 0 {
 				drops += again // replay should be all hits; count rescoring as drops
 			}
 		}

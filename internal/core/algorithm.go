@@ -176,17 +176,14 @@ type regionCtx struct {
 }
 
 // newCache builds a solve-local top-k cache honoring the
-// DisableTopKCache ablation and the sharded evaluation plane: under
-// Options.Shards > 1 even the Lemma-5-derived configurations shard, so
-// the whole recursion runs on per-shard memos.
+// DisableTopKCache ablation. Every other cache runs on the evaluation
+// plane with Options.Shards shards (one when unset), so even the
+// Lemma-5-derived configurations run on per-shard memos.
 func (s *solver) newCache(k int, active []int) *topk.Cache {
 	if s.opt.DisableTopKCache {
 		return topk.NewPassthroughCache(s.prob.Scorer, k, active)
 	}
-	if s.opt.Shards > 1 {
-		return topk.NewShardedCache(s.prob.Scorer, k, active, s.opt.Shards, 0, nil)
-	}
-	return topk.NewCache(s.prob.Scorer, k, active)
+	return topk.NewShardedCache(s.prob.Scorer, k, active, s.opt.Shards, 0, nil)
 }
 
 // newCacheShared is newCache but interns the cache in the cross-query
@@ -207,8 +204,9 @@ func (s *solver) newCacheShared(k int, active []int) *topk.Cache {
 
 // process tests one region and either accepts it (recording its vertices
 // in Vall) or splits it, returning the children to process. ctx bounds
-// the sharded per-vertex evaluations; the unsharded path is cancelled
-// between regions by the driver's budget checks instead.
+// the per-vertex evaluations on the top-k plane; the pass-through
+// ablation cache is cancelled between regions by drive's budget
+// checks instead.
 //
 // Every decision process makes is a function of the region and the
 // solve's inputs alone, never of what sibling regions did first, which

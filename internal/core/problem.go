@@ -98,7 +98,7 @@ type Options struct {
 	DisableKSwitch   bool          // TAS*: random Case-1 pair instead of k-switch (Section 5.3)
 	DisableTopKCache bool          // ablation: recompute top-k at every vertex instead of caching
 	Workers          int           // parallel region processing (default 1 = sequential)
-	Shards           int           // shard count of the top-k evaluation plane (0/1 = unsharded; results are identical either way)
+	Shards           int           // shard count of the top-k evaluation plane (0/1 = one shard; results are identical at every count)
 	MaxRegions       int           // safety valve on the recursion (default 2,000,000)
 	ORVertexBudget   int           // vertex cap for enumerating oR's geometry (default 5,000)
 	Timeout          time.Duration // wall-clock budget for one solve (0 = unlimited)
@@ -157,7 +157,7 @@ type Stats struct {
 	TopKMisses      int           // top-k computations that did real work
 	ImpactClips     int           // impact halfspaces applied to build oR
 	UniqueImpacts   int           // deduplicated impact halfspaces in the H-representation
-	Shards          int           // shard count of the evaluation plane (0/1 = unsharded)
+	Shards          int           // shard count of the evaluation plane (0 at one shard)
 	ShardStats      []ShardStat   // per-shard work breakdown (sharded solves only)
 	SketchGated     bool          // the sketch gate certified this solve's prefilter
 	SketchSkips     int           // options the certificate excused from exact dominance tests

@@ -62,21 +62,12 @@ func buildShards(sc *topk.Scorer, shards, capacity int, only map[int]bool) []*Sk
 	}
 	for i := 0; i < sc.Len(); i++ {
 		p := sc.Point(i)
-		s := shardOf(p, shards)
+		s := topk.ShardOfPoint(p, shards)
 		if per[s] != nil {
 			per[s].Insert(i, p)
 		}
 	}
 	return per
-}
-
-// shardOf routes a point to its sketch, mirroring the exact plane's
-// assignment (unsharded planes use shard 0).
-func shardOf(p vec.Vector, shards int) int {
-	if shards <= 1 {
-		return 0
-	}
-	return topk.ShardOfPoint(p, shards)
 }
 
 // AdvanceInsert moves the plane to a pure-insert generation: the shards
@@ -93,7 +84,7 @@ func (pl *Plane) AdvanceInsert(sc *topk.Scorer, inserted []int) {
 	touched := 0
 	for _, idx := range inserted {
 		p := sc.Point(idx)
-		s := shardOf(p, pl.shards)
+		s := topk.ShardOfPoint(p, pl.shards)
 		if next[s] == pl.per[s] {
 			next[s] = pl.per[s].clone()
 			touched++

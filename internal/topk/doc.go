@@ -20,7 +20,10 @@
 // # Caches, the registry, and invalidation rules
 //
 // A Cache memoizes top-k results per preference-space vertex for one
-// (k, active-set) configuration. The Registry interns these caches per
+// (k, active-set) configuration. Every memoizing Cache runs on the
+// evaluation plane described below, at any shard count S ≥ 1; the only
+// other Cache is the pass-through one (NewPassthroughCache) that the
+// cache ablation benchmarks use. The Registry interns caches per
 // dataset so queries sharing a configuration share the memoized work,
 // and moves them across generations under two rules:
 //
@@ -29,30 +32,30 @@
 //     registry lock); older pinned solves fall back to solve-local
 //     caches, so no result computed against one generation is ever
 //     served to another whose options could differ.
-//   - Advance(sc, dirty) drops exactly the configurations whose active
-//     set touches a dirty slot, plus whole-dataset (nil active)
-//     configurations — any mutation changes dataset membership. Every
-//     other configuration is carried forward by pointer and rebound to
-//     the new Scorer: its active options are bit-identical in both
-//     generations, so its memoized results, and all future computations
-//     by either side, are identical under both scorers.
+//   - Advance(sc, dirty) carries every configuration whose active set no
+//     dirty slot touches forward by pointer, rebound to the new Scorer:
+//     its active options are bit-identical in both generations, so its
+//     memoized results, and all future computations by either side, are
+//     identical under both scorers. A touched configuration — any
+//     whole-dataset (nil active) one included — is replaced by a
+//     successor whose affected shards start empty; the old object keeps
+//     its memos for solves pinned to the old generation.
 //
 // Both the per-cache vertex count and the interned-configuration count
 // are bounded (SetLimits); past a limit, work is computed without being
 // retained and surfaces as Evictions rather than unbounded memory.
 //
-// # The sharded evaluation plane
+// # The evaluation plane
 //
-// A sharded registry (NewShardedRegistry) splits every configuration
-// into S stable shards by hashing option *contents* (stable under the
-// store's swap-delete), each shard with its own memo, lock and slice of
-// the entry budget; lookups merge per-shard partial results into
-// exactly the unsharded top-k (shard.go proves the argument). Advance
-// then invalidates per shard instead of per configuration: the
-// registry swaps in a successor cache whose affected shards start
-// fresh while unaffected shard memos carry forward by pointer — and
-// in-flight solves pinned to the old generation keep the old object,
-// whose affected shards still hold old-generation state. An insert
-// costs one shard of a whole-dataset configuration instead of the
-// whole configuration.
+// A registry (NewShardedRegistry; NewRegistry is its one-shard case)
+// splits every configuration into S stable shards by hashing option
+// *contents* (stable under the store's swap-delete), each shard with
+// its own memo, lock and slice of the entry budget; lookups merge
+// per-shard partial results into exactly Scorer.TopK's result (shard.go
+// proves the argument). Advance invalidates per shard: the successor
+// cache's affected shards start fresh while unaffected shard memos
+// carry forward by pointer. An insert costs one shard of a
+// whole-dataset configuration instead of the whole configuration, and
+// AdvanceInsert (patch.go) repairs even that shard by splicing the
+// inserted options into its memoized partials.
 package topk

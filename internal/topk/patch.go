@@ -24,8 +24,6 @@ package topk
 // bit for bit, ties included. The randomized oracle in patch_test.go
 // pins this against fresh recomputes.
 
-import "toprr/internal/vec"
-
 // PatchSummary reports what one AdvanceInsert did to the registry's
 // interned caches. It is the region-delta signal for standing queries:
 // when Changed() is false, no memoized top-k admitted any inserted
@@ -33,17 +31,17 @@ import "toprr/internal/vec"
 // untouched by the batch.
 type PatchSummary struct {
 	Configs       int  // patchable (whole-dataset) configurations processed
-	Entries       int  // memo entries examined (unsharded results + shard partials)
+	Entries       int  // shard partials examined
 	Patched       int  // entries changed by splicing an inserted option in
-	MergedDropped int  // sharded merged results dropped because a constituent partial changed
+	MergedDropped int  // merged results dropped because a constituent partial changed
 	Fallback      bool // delta broke the pure-insert contract; the drop path ran instead
 }
 
 // Changed reports whether any memoized entry changed under the patch.
 // It is a pure patch-plane observation — NOT a safe suppression signal:
-// a Fallback summary dropped memos wholesale with Patched == 0, and a
-// sharded advance can drop merged results it cannot vouch for without
-// patching anything. Consumers that skip work when "nothing changed"
+// a Fallback summary dropped memos wholesale with Patched == 0, and an
+// advance can drop merged results it cannot vouch for without patching
+// anything. Consumers that skip work when "nothing changed"
 // (the notification hub) must use MaybeChanged.
 func (s PatchSummary) Changed() bool { return s.Patched > 0 }
 
@@ -84,36 +82,10 @@ func spliceAt(idx []int, scores []float64, k, pos, slot int, s float64) ([]int, 
 	return idx, scores
 }
 
-// spliceResult patches one memoized whole-dataset Result for a batch of
-// inserted slots. It returns the original Result (and false) when no
-// insert cracks the top-k — the carried-forward entry is shared by
-// pointer with the old generation, never copied.
-func spliceResult(r *Result, w vec.Vector, sc *Scorer, inserted []int, k int) (*Result, bool) {
-	var ord []int
-	var scs []float64
-	for _, slot := range inserted {
-		s := ScorePoint(w, sc.Point(slot))
-		ci, cs := r.Ordered, r.scores
-		if ord != nil {
-			ci, cs = ord, scs
-		}
-		pos := splicePos(ci, cs, slot, s)
-		if pos == len(ci) && len(ci) >= k {
-			continue // ranks below the k-th: the entry is already exact
-		}
-		if ord == nil {
-			ord = append(make([]int, 0, k), r.Ordered...)
-			scs = append(make([]float64, 0, k), r.scores...)
-		}
-		ord, scs = spliceAt(ord, scs, k, pos, slot, s)
-	}
-	if ord == nil {
-		return r, false
-	}
-	return newResult(ord, scs), true
-}
-
-// splicePartial is spliceResult for one shard's partial. A partial
+// splicePartial patches one shard's memoized partial for a batch of
+// inserted slots routed to that shard. It returns the original partial
+// (and false) when no insert cracks it — the carried-forward entry is
+// shared by pointer with the old generation, never copied. A partial
 // holds min(k, |members|) entries, so while it is below k every insert
 // routed to its shard must enter (the partial ranks *all* members), not
 // only the ones that beat the current tail.
@@ -148,36 +120,15 @@ func splicePartial(p *partial, sc *Scorer, inserted []int, k int) (*partial, boo
 	return np, true
 }
 
-// patchAdvance builds this unsharded whole-dataset cache's successor
-// for a pure-insert generation, patching every memoized entry in place
-// of recomputation. Successor-object pattern as in cloneAdvance:
-// in-flight solves pinned to the old generation keep this object
-// untouched, and entries no insert cracked are shared by pointer. The
-// eviction counter is carried so Registry.Evictions stays monotone when
-// this object retires.
-func (c *Cache) patchAdvance(sc *Scorer, inserted []int) (*Cache, PatchSummary) {
-	var sum PatchSummary
-	next := &Cache{scorer: sc, k: c.k, limit: c.limit}
-	c.mu.Lock()
-	next.evictions = c.evictions
-	next.m = make(map[uint64]memoEntry, len(c.m))
-	for key, e := range c.m {
-		sum.Entries++
-		r2, changed := spliceResult(e.r, e.w, sc, inserted, c.k)
-		if changed {
-			sum.Patched++
-		}
-		next.m[key] = memoEntry{w: e.w, r: r2}
-	}
-	c.mu.Unlock()
-	return next, sum
-}
-
-// patchAdvanceSharded is patchAdvance for a sharded cache. byShard
-// routes the inserted slots to their owning shards (indexed by shard
-// id); a shard no insert landed in is shared by pointer exactly like
-// cloneAdvance's unaffected shards, a shard with inserts gets a patched
-// copy of its memo with the inserts appended to its member list.
+// patchAdvance builds this whole-dataset cache's successor for a
+// pure-insert generation, patching memoized partials in place of
+// recomputation. Successor-object pattern as in cloneAdvance: in-flight
+// solves pinned to the old generation keep this object untouched.
+// byShard routes the inserted slots to their owning shards (indexed by
+// shard id); a shard no insert landed in is shared by pointer exactly
+// like cloneAdvance's unaffected shards, a shard with inserts gets a
+// patched copy of its memo with the inserts appended to its member
+// list.
 //
 // Merged results are carried when provably still exact: a key whose
 // partial changed in any patched shard is dropped (the merge is stale),
@@ -185,7 +136,7 @@ func (c *Cache) patchAdvance(sc *Scorer, inserted []int) (*Cache, PatchSummary) 
 // and is dropped too — its next lookup re-merges from the patched
 // partials, recomputing nothing. Keys verified unchanged in every
 // patched shard merge to the identical Result and are kept.
-func (c *Cache) patchAdvanceSharded(sc *Scorer, byShard [][]int) (*Cache, PatchSummary) {
+func (c *Cache) patchAdvance(sc *Scorer, byShard [][]int) (*Cache, PatchSummary) {
 	var sum PatchSummary
 	memos := make([]*shardMemo, len(c.sh.memos))
 	var changed map[uint64]bool
@@ -199,8 +150,11 @@ func (c *Cache) patchAdvanceSharded(sc *Scorer, byShard [][]int) (*Cache, PatchS
 			continue
 		}
 		sm.mu.Lock()
-		members := make([]int, 0, len(sm.members)+len(ins))
-		members = append(append(members, sm.members...), ins...)
+		// Appending in place is safe: the old memo reads only its own
+		// length of the shared array, and no memo is ever patched twice
+		// (its cache retires from the registry), so at most one
+		// successor writes past that length.
+		members := append(sm.members, ins...)
 		nm := make(map[uint64]*partial, len(sm.m))
 		for key, p := range sm.m {
 			sum.Entries++
@@ -252,13 +206,9 @@ outer:
 	}
 	c.sh.mergedMu.RUnlock()
 
-	c.mu.Lock()
-	ev := c.evictions
-	c.mu.Unlock()
 	return &Cache{
-		scorer:    sc,
-		k:         c.k,
-		evictions: ev,
+		scorer: sc,
+		k:      c.k,
 		sh: &sharded{
 			memos:       memos,
 			merged:      merged,
@@ -275,9 +225,9 @@ outer:
 // semantics, reported via the summary's Fallback flag.
 //
 // Explicit-active configurations only rebind — an insert cannot touch
-// their members. Whole-dataset configurations are patched entry by
-// entry (see spliceResult / splicePartial). The returned summary is the
-// region-delta signal described on PatchSummary.
+// their members. Whole-dataset configurations are patched partial by
+// partial (see splicePartial). The returned summary is the region-delta
+// signal described on PatchSummary.
 func (r *Registry) AdvanceInsert(sc *Scorer, inserted []int) PatchSummary {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -296,32 +246,26 @@ func (r *Registry) AdvanceInsert(sc *Scorer, inserted []int) PatchSummary {
 		return PatchSummary{Fallback: true}
 	}
 
-	var byShard [][]int
-	if r.shards > 1 {
+	if r.assign != nil {
 		// Grow the slot-to-shard map in place (amortized): no existing
 		// slot changes hands under a pure insert.
-		byShard = make([][]int, r.shards)
 		for _, s := range inserted {
-			sh := ShardOfPoint(sc.Point(s), r.shards)
-			r.assign = append(r.assign, uint8(sh))
-			byShard[sh] = append(byShard[sh], s)
+			r.assign = append(r.assign, uint8(ShardOfPoint(sc.Point(s), r.shards)))
 		}
 	}
 
 	var sum PatchSummary
+	var byShard [][]int // inserts routed to their shards, built on first use
 	for key, c := range r.m {
 		if c.active != nil {
 			c.rebind(sc) // inserts cannot touch an explicit active set
 			continue
 		}
-		sum.Configs++
-		var next *Cache
-		var s PatchSummary
-		if c.sh != nil {
-			next, s = c.patchAdvanceSharded(sc, byShard)
-		} else {
-			next, s = c.patchAdvance(sc, inserted)
+		if byShard == nil {
+			byShard = bucketMembers(sc, inserted, r.shards, r.assign)
 		}
+		sum.Configs++
+		next, s := c.patchAdvance(sc, byShard)
 		h, m := c.Stats()
 		r.retiredHits += h
 		r.retiredMisses += m

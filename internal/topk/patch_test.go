@@ -263,7 +263,7 @@ func TestAdvanceInsertFallback(t *testing.T) {
 
 // TestAllocsNoopRegistryAdvance gates the satellite fix: a pure-insert
 // delta (all dirty slots at or beyond the old length) reaching an
-// unsharded registry holding only explicit-active configurations is a
+// one-shard registry holding only explicit-active configurations is a
 // no-op advance — rebind the survivors, swap the scorer — and must not
 // allocate at all.
 func TestAllocsNoopRegistryAdvance(t *testing.T) {
@@ -300,8 +300,8 @@ func TestAllocsNoopRegistryAdvance(t *testing.T) {
 
 // TestAllocsAdvanceInsertExplicitOnly: AdvanceInsert over a registry
 // with no patchable configuration is the same no-op and likewise must
-// not allocate (unsharded plane; the sharded plane's assignment growth
-// is amortized-append).
+// not allocate (one-shard plane, which keeps no slot assignment; at
+// S >= 2 the assignment grows by amortized append).
 func TestAllocsAdvanceInsertExplicitOnly(t *testing.T) {
 	skipUnderRace(t)
 	const runs = 100

@@ -18,9 +18,9 @@ import (
 // dataset generation and hands interned caches only to solves pinned to
 // that generation (GetFor). When the store publishes a new generation,
 // Advance moves the registry forward *incrementally* — configurations
-// untouched by the mutation keep their memoized results; only
-// configurations involving a dirty slot (or spanning the whole dataset)
-// are dropped. A Registry is safe for concurrent use.
+// untouched by the mutation keep their memoized results, and touched
+// ones drop only the partials of the shards the mutation reached. A
+// Registry is safe for concurrent use.
 type Registry struct {
 	mu            sync.Mutex
 	scorer        *Scorer
@@ -36,14 +36,14 @@ type Registry struct {
 	patchInserts      int // inserted options applied through the patch path
 	untouchedAdvances int // patch advances in which no memoized top-k changed
 
-	// Sharded plane (shards > 1): interned caches are sharded, assign
-	// maps each slot of the current generation to its shard, and Advance
-	// invalidates per shard instead of per configuration.
+	// The evaluation plane: every interned cache has shards shards, and
+	// assign maps each slot of the current generation to its shard (nil
+	// at one shard, where every slot is shard 0).
 	shards int
 	assign []uint8
 
 	// remote routes shard partials to owning workers (remote.go);
-	// attached to every sharded cache the registry hands out.
+	// attached to every cache the registry hands out when shards > 1.
 	remote *RemotePlane
 }
 
@@ -58,25 +58,20 @@ const (
 	cacheEntryLimit = 1 << 18
 )
 
-// NewRegistry builds an empty cache registry bound to one dataset
-// generation's scorer.
+// NewRegistry builds an empty one-shard cache registry bound to one
+// dataset generation's scorer.
 func NewRegistry(scorer *Scorer) *Registry {
 	return NewShardedRegistry(scorer, 1)
 }
 
-// NewShardedRegistry is NewRegistry with a sharded evaluation plane:
+// NewShardedRegistry is NewRegistry with an S-shard evaluation plane:
 // interned caches split their memos (and their entry budgets) across
 // shards, and Advance invalidates per shard — a mutation drops only the
 // partials of the shards whose slots it touched, keeping the warm state
-// of the rest, even for whole-dataset configurations. shards <= 1 is
-// the plain unsharded registry.
+// of the rest, even for whole-dataset configurations. shards is clamped
+// to [1, MaxShards].
 func NewShardedRegistry(scorer *Scorer, shards int) *Registry {
-	if shards > MaxShards {
-		shards = MaxShards
-	}
-	if shards < 1 {
-		shards = 1
-	}
+	shards = min(max(shards, 1), MaxShards)
 	r := &Registry{
 		scorer:     scorer,
 		m:          make(map[string]*Cache),
@@ -90,16 +85,20 @@ func NewShardedRegistry(scorer *Scorer, shards int) *Registry {
 	return r
 }
 
-// Shards returns the registry's shard count (1 = unsharded).
+// Shards returns the registry's shard count.
 func (r *Registry) Shards() int { return r.shards }
 
 // SetRemote attaches a remote partial plane to the registry: every
-// interned sharded cache — present and future, including successors
-// built by generation advances — routes remote-owned shards' partials
-// through it. Attach once, before the registry serves solves.
+// interned cache — present and future, including successors built by
+// generation advances — routes remote-owned shards' partials through
+// it. A one-shard plane has nothing to scatter and keeps computing
+// locally. Attach once, before the registry serves solves.
 func (r *Registry) SetRemote(rp *RemotePlane) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.shards == 1 {
+		return
+	}
 	r.remote = rp
 	for _, c := range r.m {
 		c.SetRemote(rp)
@@ -168,18 +167,10 @@ func (r *Registry) getLocked(k int, active []int) *Cache {
 	if c, ok := r.m[key]; ok {
 		return c
 	}
-	var c *Cache
-	if r.shards > 1 {
-		// The entry budget splits evenly across the shard memos.
-		per := r.entryLimit / r.shards
-		if per < 1 {
-			per = 1
-		}
-		c = NewShardedCache(r.scorer, k, active, r.shards, per, r.assign)
-		c.SetRemote(r.remote)
-	} else {
-		c = NewBoundedCache(r.scorer, k, active, r.entryLimit)
-	}
+	// The entry budget splits evenly across the shard memos.
+	per := max(r.entryLimit/r.shards, 1)
+	c := NewShardedCache(r.scorer, k, active, r.shards, per, r.assign)
+	c.SetRemote(r.remote)
 	if len(r.m) < r.limit {
 		r.m[key] = c
 	} else {
@@ -191,25 +182,24 @@ func (r *Registry) getLocked(k int, active []int) *Cache {
 // Advance moves the registry to a new dataset generation. dirty lists
 // the slots whose identity changed (see store.Delta).
 //
-// Unsharded: configurations spanning the whole dataset (nil active set)
-// are dropped — any mutation changes their membership — as are
-// configurations whose active set touches a dirty slot. Every other
-// configuration is carried forward *by pointer* (an O(configs) pass,
-// not a copy of the memoized maps): its active options are
-// bit-identical across the two generations, so the same Cache object
-// keeps serving in-flight solves pinned to the old generation and
-// new-generation solves alike — both compute identical results over it
-// (see Cache.rebind).
+// A configuration whose active set no dirty slot touches is carried
+// forward *by pointer* (an O(configs) pass, not a copy of the memoized
+// maps): its active options are bit-identical across the two
+// generations, so the same Cache object keeps serving in-flight solves
+// pinned to the old generation and new-generation solves alike — both
+// compute identical results over it (see Cache.rebind).
 //
-// Sharded: each dirty slot is routed to its owning shard(s) — the shard
-// of its old contents and the shard of its new contents — and a touched
-// configuration drops only those shards' partial memos, recomputing
-// their member lists from the new generation; the other shards keep
+// In a touched configuration each relevant dirty slot is routed to its
+// owning shard(s) — the shard of its old contents and the shard of its
+// new contents — and the configuration is replaced by a successor
+// whose affected shards start with empty memos, recomputing their
+// member lists from the new generation, while the other shards keep
 // their warm partials. An insert therefore invalidates one shard of a
-// whole-dataset configuration instead of the whole configuration, and a
-// delete or update drops only the touched shards' slots. Configurations
-// made invalid outright (an explicit active slot truncated away, or the
-// dataset shrinking below k) are still dropped.
+// whole-dataset configuration, and at one shard it empties the
+// configuration's single memo. The old object keeps its memos for
+// solves pinned to the old generation. Configurations made invalid
+// outright (an explicit active slot truncated away, or the dataset
+// shrinking below k) are dropped.
 func (r *Registry) Advance(sc *Scorer, dirty []int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -271,16 +261,6 @@ func (r *Registry) advanceLocked(sc *Scorer, dirty []int) {
 	}
 
 	for key, c := range r.m {
-		if r.shards <= 1 {
-			if c.active != nil && !touches(c.active, dirtySet) {
-				c.rebind(sc)
-				continue
-			}
-			r.dropLocked(key, c)
-			continue
-		}
-
-		// Sharded plane: route the dirty slots to their owning shards.
 		if c.active != nil {
 			if !touches(c.active, dirtySet) {
 				c.rebind(sc)
@@ -325,10 +305,10 @@ func (r *Registry) advanceLocked(sc *Scorer, dirty []int) {
 				continue // slot outside this configuration's active set
 			}
 			if s < oldLen {
-				affected[int(r.assign[s])] = true
+				affected[slotShard(r.assign, s)] = true
 			}
 			if s < newLen {
-				affected[int(newAssign[s])] = true
+				affected[slotShard(newAssign, s)] = true
 			}
 		}
 		// Replace the configuration with its successor rather than
@@ -346,6 +326,15 @@ func (r *Registry) advanceLocked(sc *Scorer, dirty []int) {
 	}
 	r.scorer = sc
 	r.assign = newAssign
+}
+
+// slotShard reads a slot's shard from an assignment; a one-shard
+// registry keeps no assignment, every slot being shard 0.
+func slotShard(assign []uint8, s int) int {
+	if assign == nil {
+		return 0
+	}
+	return int(assign[s])
 }
 
 // dropLocked retires one interned configuration, folding its counters
@@ -395,14 +384,10 @@ func (r *Registry) Stats() (hits, misses int) {
 }
 
 // ShardStats aggregates the per-shard cache counters across every
-// interned configuration, indexed by shard id. It returns nil for an
-// unsharded registry.
+// interned configuration, indexed by shard id (one row at one shard).
 func (r *Registry) ShardStats() []ShardCacheStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.shards <= 1 {
-		return nil
-	}
 	out := make([]ShardCacheStats, r.shards)
 	for i := range out {
 		out[i].Shard = i

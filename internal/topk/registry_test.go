@@ -33,10 +33,11 @@ func TestRegistryGetFor(t *testing.T) {
 	}
 }
 
-// TestRegistryAdvance: advancing to a new generation keeps the memoized
-// results of configurations untouched by the mutation, drops
-// whole-dataset and dirty-touching configurations, and leaves the old
-// generation's Cache objects intact for pinned readers.
+// TestRegistryAdvance: advancing a one-shard registry to a new
+// generation carries the configuration the mutation left untouched by
+// pointer with its memoized results, replaces the whole-dataset and
+// dirty-touching configurations by successors with empty memos, and
+// leaves the old generation's Cache objects intact for pinned readers.
 func TestRegistryAdvance(t *testing.T) {
 	sc1 := NewScorerAt(regPts(), 1)
 	r := NewRegistry(sc1)
@@ -51,6 +52,7 @@ func TestRegistryAdvance(t *testing.T) {
 	if r.Len() != 3 {
 		t.Fatalf("interned %d configs, want 3", r.Len())
 	}
+	hits0, misses0 := r.Stats()
 
 	// Generation 2: slot 3 updated.
 	pts := regPts()
@@ -58,8 +60,8 @@ func TestRegistryAdvance(t *testing.T) {
 	sc2 := NewScorerAt(pts, 2)
 	r.Advance(sc2, []int{3})
 
-	if r.Len() != 1 {
-		t.Fatalf("after advance %d configs survive, want 1", r.Len())
+	if r.Len() != 3 {
+		t.Fatalf("after advance %d configs interned, want 3", r.Len())
 	}
 	if r.Scorer() != sc2 {
 		t.Error("registry did not rebind to the new scorer")
@@ -83,14 +85,44 @@ func TestRegistryAdvance(t *testing.T) {
 	if clean.Scorer() != sc2 {
 		t.Error("carried cache was not rebound to the new scorer")
 	}
+
+	// Touched configurations are successor objects whose single shard
+	// starts empty and computes against the new generation.
+	for _, c := range []struct {
+		name   string
+		old    *Cache
+		active []int
+	}{{"dirty", dirty, []int{1, 3}}, {"whole", whole, nil}} {
+		next := r.GetFor(sc2, 2, c.active)
+		if next == nil || next == c.old {
+			t.Fatalf("%s: touched config not replaced by a successor", c.name)
+		}
+		if next.Len() != 0 {
+			t.Errorf("%s: successor memo len=%d, want 0", c.name, next.Len())
+		}
+		if next.Scorer() != sc2 {
+			t.Errorf("%s: successor not bound to the new scorer", c.name)
+		}
+		if got, want := next.Get(w), sc2.TopK(w, 2, c.active); got.OrderKey() != want.OrderKey() {
+			t.Errorf("%s: successor result %v, want %v", c.name, got.Ordered, want.Ordered)
+		}
+		// The old object keeps its memo and scorer for readers pinned to
+		// generation 1.
+		if c.old.Len() != 1 || c.old.Scorer() != sc1 {
+			t.Errorf("%s: old object lost its memo (len=%d) or scorer", c.name, c.old.Len())
+		}
+		if got, hit := c.old.Lookup(w); !hit || got.OrderKey() != sc1.TopK(w, 2, c.active).OrderKey() {
+			t.Errorf("%s: pinned old object no longer serves generation 1 (hit=%v)", c.name, hit)
+		}
+	}
 	if r.Evictions() < 2 {
-		t.Errorf("evictions = %d, want >= 2 (whole-dataset + dirty configs)", r.Evictions())
+		t.Errorf("evictions = %d, want >= 2 (partials left behind by the touched configs)", r.Evictions())
 	}
 
 	// Hit/miss totals stay monotone across the advance.
 	hits, misses := r.Stats()
-	if hits+misses < 3 {
-		t.Errorf("stats lost retired counters: hits=%d misses=%d", hits, misses)
+	if hits < hits0 || misses < misses0 || hits+misses < 3 {
+		t.Errorf("stats lost retired counters: hits=%d misses=%d, before %d/%d", hits, misses, hits0, misses0)
 	}
 }
 

@@ -83,7 +83,7 @@ func remoteFixture(t *testing.T, hedge time.Duration) (*Cache, *fakePartialer, *
 }
 
 // TestRemotePlaneServesPartials: remote-owned shards route to the
-// partialer, results stay bit-identical to the unsharded oracle, and
+// partialer, results stay bit-identical to the Scorer.TopK oracle, and
 // the plane's counters attribute the remote work.
 func TestRemotePlaneServesPartials(t *testing.T) {
 	c, f, rp, sc := remoteFixture(t, 0)

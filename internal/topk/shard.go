@@ -1,26 +1,25 @@
 package topk
 
 // The sharded evaluation plane: a dataset generation is split into S
-// stable shards, each owning a disjoint subset of the options. A
-// sharded cache memoizes, per shard, the shard's *partial* top-k result
-// at each queried vertex (the best min(k, |shard|) options with their
-// scores), and merges the partials into the global top-k on lookup.
+// stable shards, each owning a disjoint subset of the options. A cache
+// memoizes, per shard, the shard's *partial* top-k result at each
+// queried vertex (the best min(k, |shard|) options with their scores),
+// and merges the partials into the global top-k on lookup. S=1 is the
+// same plane with one shard: its single partial is the global result.
 //
 // The merge is exact: every option of the global top-k ranks within the
 // top-k of its own shard, so the global result is the k best entries of
 // the concatenated partials — and because each partial is ordered by
-// (score desc, index asc), the same comparator the unsharded sort uses,
-// the merged ordering (ties included) is bit-identical to the unsharded
-// one. Sharded and unsharded solves therefore produce identical
-// results; sharding changes only where the work and the memoized state
-// live:
+// (score desc, index asc), the same comparator Scorer.TopK sorts with,
+// the merged ordering (ties included) is bit-identical to Scorer.TopK's.
+// Every shard count therefore produces identical results; the count
+// changes only where the work and the memoized state live:
 //
 //   - each shard's memo has its own lock, so parallel solver workers
 //     never contend on one shared cache mutex;
 //   - invalidation is per shard: a mutation drops only the partials of
 //     the shards whose membership or contents changed, and the other
-//     S-1 shards keep their warm state — even for whole-dataset
-//     configurations, which the unsharded registry must drop on any op;
+//     S-1 shards keep their warm state;
 //   - cache budgets split across shards, bounding each memo
 //     independently.
 //
@@ -68,9 +67,6 @@ func ShardOfPoint(p vec.Vector, shards int) int {
 // ShardAssignment maps every slot of a scorer's dataset to its shard.
 func ShardAssignment(sc *Scorer, shards int) []uint8 {
 	assign := make([]uint8, sc.Len())
-	if shards <= 1 {
-		return assign
-	}
 	for i := range assign {
 		assign[i] = uint8(ShardOfPoint(sc.Point(i), shards))
 	}
@@ -106,7 +102,7 @@ type shardMemo struct {
 // min(k, len(members)) with scores. members and scorer are snapshotted
 // by the caller; the computation runs without the memo lock. The sort
 // comparator is exactly Scorer.TopK's, so merged orderings — ties
-// included — are bit-identical to unsharded results.
+// included — are bit-identical to Scorer.TopK results.
 func computePartial(sc *Scorer, members []int, w vec.Vector, k int) *partial {
 	ss := sortPool.Get().(*sortScratch)
 	defer sortPool.Put(ss)
@@ -134,10 +130,16 @@ func computePartial(sc *Scorer, members []int, w vec.Vector, k int) *partial {
 
 // mergePartials k-way-merges the per-shard partials into the global
 // top-k. Exactness: each global top-k option is in its shard's partial,
-// and the shared (score desc, index asc) comparator reproduces the
-// unsharded ordering exactly. The caller guarantees the partials hold
-// at least k entries in total.
+// and the shared (score desc, index asc) comparator reproduces
+// Scorer.TopK's ordering exactly. The caller guarantees the partials
+// hold at least k entries in total. A single partial is already the
+// global top-k, so the result wraps its slices (neither side ever
+// mutates them: splicing copies first).
 func mergePartials(parts []*partial, k int) *Result {
+	if len(parts) == 1 {
+		p := parts[0]
+		return newResult(p.idx[:k:k], p.scores[:k:k])
+	}
 	heads := make([]int, len(parts))
 	ordered := make([]int, 0, k)
 	scores := make([]float64, 0, k)
@@ -179,7 +181,7 @@ func NewShardAccum(n int) *ShardAccum {
 	return &ShardAccum{Partials: make([]atomic.Int64, n), Scored: make([]atomic.Int64, n)}
 }
 
-// sharded is the shard-mode state of a Cache: per-shard partial memos
+// sharded is the evaluation plane of a Cache: per-shard partial memos
 // plus a merged-result memo so repeat lookups of a vertex skip the
 // k-way merge entirely. The merged memo is read under a shared RWMutex
 // (concurrent hit paths never block each other); it is cleared whenever
@@ -196,7 +198,18 @@ type sharded struct {
 // bucketMembers splits an active set (nil = the whole dataset) into
 // per-shard member lists using assign (slot -> shard); assign may be
 // nil, in which case membership is hashed from the scorer's contents.
+// One shard owns the active set itself (shared, read-only) or an
+// exact-size identity list for the whole dataset.
 func bucketMembers(sc *Scorer, active []int, shards int, assign []uint8) [][]int {
+	if shards == 1 {
+		if active == nil {
+			active = make([]int, len(sc.pts))
+			for i := range active {
+				active[i] = i
+			}
+		}
+		return [][]int{active}
+	}
 	members := make([][]int, shards)
 	add := func(slot int) {
 		var sh int
@@ -222,25 +235,20 @@ func bucketMembers(sc *Scorer, active []int, shards int, assign []uint8) [][]int
 // NewShardedCache builds a cache whose evaluation plane is split into
 // shards: per-vertex partial results are memoized per shard (each with
 // its own lock and entry limit) and merged into exact global top-k
-// results on lookup. shards <= 1 falls back to a plain Cache.
+// results on lookup. shards is clamped to [1, MaxShards].
 // entryLimitPerShard caps each shard memo (0 = unlimited). assign may
 // carry a precomputed slot-to-shard map for the scorer's generation
 // (nil = hash on demand).
 func NewShardedCache(scorer *Scorer, k int, active []int, shards, entryLimitPerShard int, assign []uint8) *Cache {
-	if shards <= 1 {
-		return NewCache(scorer, k, active)
-	}
-	if shards > MaxShards {
-		shards = MaxShards
-	}
+	shards = min(max(shards, 1), MaxShards)
 	members := bucketMembers(scorer, active, shards, assign)
 	sh := &sharded{
 		memos:  make([]*shardMemo, shards),
 		merged: make(map[uint64]*Result),
-		// The merged memo holds one Result per vertex — the same unit
-		// the unsharded cache's map holds — so it gets the whole entry
-		// budget, not a per-shard slice of it; capping it at the
-		// per-shard share would shrink vertex-level hit capacity S-fold.
+		// The merged memo holds one Result per vertex, so it gets the
+		// whole entry budget, not a per-shard slice of it; capping it at
+		// the per-shard share would shrink vertex-level hit capacity
+		// S-fold.
 		mergedLimit: entryLimitPerShard * shards,
 	}
 	for i := range sh.memos {
@@ -254,7 +262,7 @@ func NewShardedCache(scorer *Scorer, k int, active []int, shards, entryLimitPerS
 	return &Cache{scorer: scorer, k: k, active: active, sh: sh}
 }
 
-// Shards returns the cache's shard count (1 for unsharded caches).
+// Shards returns the cache's shard count (1 for pass-through caches).
 func (c *Cache) Shards() int {
 	if c.sh == nil {
 		return 1
@@ -268,14 +276,14 @@ func (c *Cache) Shards() int {
 // scoring work.
 const shardParallelThreshold = 4096
 
-// lookupSharded serves one vertex from the sharded plane: per-shard
+// lookup serves one vertex from the evaluation plane: per-shard
 // partials are read (or computed) under each shard's own lock and
 // merged into the exact global result. When several shards miss and
 // their combined member count is large, the partial computations run
 // concurrently; ctx cancellation stops unstarted sibling shards and
 // fails the lookup, leaving already-computed partials memoized (they
 // are idempotent). hit reports whether every shard served from memory.
-func (c *Cache) lookupSharded(ctx context.Context, w vec.Vector, acc *ShardAccum) (r *Result, hit bool, err error) {
+func (c *Cache) lookup(ctx context.Context, w vec.Vector, acc *ShardAccum) (r *Result, hit bool, err error) {
 	key := w.Hash(1e-10)
 
 	// Fast path: the merged memo serves repeat vertices without touching
@@ -293,7 +301,8 @@ func (c *Cache) lookupSharded(ctx context.Context, w vec.Vector, acc *ShardAccum
 
 	memos := c.sh.memos
 	parts := make([]*partial, len(memos))
-	var missing []int
+	var missingBuf [MaxShards]int
+	missing := missingBuf[:0]
 	missingMembers := 0
 	for i, sm := range memos {
 		sm.mu.Lock()
@@ -330,54 +339,17 @@ func (c *Cache) lookupSharded(ctx context.Context, w vec.Vector, acc *ShardAccum
 	// below so the scatter's requests overlap on the wire instead of
 	// paying one round trip per shard. Active-set configurations ship
 	// their member slots with each request (shipMembers below).
-	remote := c.remote
 	remoteMissing := false
-	if remote != nil {
+	if c.remote != nil {
 		for _, i := range missing {
-			if remote.Owns(i) {
+			if c.remote.Owns(i) {
 				remoteMissing = true
 				break
 			}
 		}
 	}
 
-	compute := func(i int) error {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		sm := memos[i]
-		sm.mu.Lock()
-		sc, members, limit := sm.scorer, sm.members, sm.limit
-		sm.mu.Unlock()
-		var p *partial
-		if remote != nil && remote.Owns(i) {
-			// Remote-or-local: a sound remote answer is bit-identical to
-			// the local computation; nil (error, refusal, hedge expiry)
-			// falls through to computing the shard here.
-			p = remote.fetch(ctx, sc, members, i, w, c.k, c.active != nil)
-		}
-		if p == nil {
-			p = computePartial(sc, members, w, c.k)
-			if acc != nil {
-				acc.Partials[i].Add(1)
-				acc.Scored[i].Add(int64(len(members)))
-			}
-		}
-		p.w = wkeep
-		sm.mu.Lock()
-		if limit <= 0 || len(sm.m) < limit {
-			sm.m[key] = p
-		} else {
-			sm.evictions++
-		}
-		sm.misses++
-		sm.mu.Unlock()
-		parts[i] = p
-		return nil
-	}
-
+	f := shardFill{c: c, ctx: ctx, key: key, w: w, wkeep: wkeep, acc: acc, parts: parts}
 	if len(missing) > 1 && (missingMembers >= shardParallelThreshold || remoteMissing) {
 		// Fan the missing shards out; a ctx cancellation makes every
 		// not-yet-started sibling return immediately. Remote-owned
@@ -390,7 +362,7 @@ func (c *Cache) lookupSharded(ctx context.Context, w vec.Vector, acc *ShardAccum
 			wg.Add(1)
 			go func(t, i int) {
 				defer wg.Done()
-				errs[t] = compute(i)
+				errs[t] = f.shard(i)
 			}(t, i)
 		}
 		wg.Wait()
@@ -401,7 +373,7 @@ func (c *Cache) lookupSharded(ctx context.Context, w vec.Vector, acc *ShardAccum
 		}
 	} else {
 		for _, i := range missing {
-			if err := compute(i); err != nil {
+			if err := f.shard(i); err != nil {
 				return nil, false, err
 			}
 		}
@@ -415,6 +387,60 @@ func (c *Cache) lookupSharded(ctx context.Context, w vec.Vector, acc *ShardAccum
 	return r, false, nil
 }
 
+// shardFill is one lookup's missing-shard computation. It is passed by
+// value (a value receiver, never address-taken) so the serial path
+// allocates no closure; only the parallel fan-out's goroutines copy it.
+type shardFill struct {
+	c     *Cache
+	ctx   context.Context
+	key   uint64
+	w     vec.Vector
+	wkeep vec.Vector // vertex retained with whole-dataset partials (nil otherwise)
+	acc   *ShardAccum
+	parts []*partial
+}
+
+// shard computes shard i's partial at the vertex — asking a remote
+// owner first — memoizes it under the shard's entry cap and records it
+// in parts[i].
+func (f shardFill) shard(i int) error {
+	if f.ctx != nil {
+		if err := f.ctx.Err(); err != nil {
+			return err
+		}
+	}
+	c := f.c
+	sm := c.sh.memos[i]
+	sm.mu.Lock()
+	sc, members, limit := sm.scorer, sm.members, sm.limit
+	sm.mu.Unlock()
+	var p *partial
+	if c.remote != nil && c.remote.Owns(i) {
+		// Remote-or-local: a sound remote answer is bit-identical to
+		// the local computation; nil (error, refusal, hedge expiry)
+		// falls through to computing the shard here.
+		p = c.remote.fetch(f.ctx, sc, members, i, f.w, c.k, c.active != nil)
+	}
+	if p == nil {
+		p = computePartial(sc, members, f.w, c.k)
+		if f.acc != nil {
+			f.acc.Partials[i].Add(1)
+			f.acc.Scored[i].Add(int64(len(members)))
+		}
+	}
+	p.w = f.wkeep
+	sm.mu.Lock()
+	if limit <= 0 || len(sm.m) < limit {
+		sm.m[f.key] = p
+	} else {
+		sm.evictions++
+	}
+	sm.misses++
+	sm.mu.Unlock()
+	f.parts[i] = p
+	return nil
+}
+
 // storeMerged memoizes a merged result under the merged-vertex cap.
 func (c *Cache) storeMerged(key uint64, r *Result) {
 	c.sh.mergedMu.Lock()
@@ -422,20 +448,6 @@ func (c *Cache) storeMerged(key uint64, r *Result) {
 		c.sh.merged[key] = r
 	}
 	c.sh.mergedMu.Unlock()
-}
-
-// rebindSharded points every shard memo (and the cache itself) at a new
-// generation's scorer; sound under the same bit-identical-members
-// argument as Cache.rebind.
-func (c *Cache) rebindSharded(sc *Scorer) {
-	for _, sm := range c.sh.memos {
-		sm.mu.Lock()
-		sm.scorer = sc
-		sm.mu.Unlock()
-	}
-	c.mu.Lock()
-	c.scorer = sc
-	c.mu.Unlock()
 }
 
 // cloneAdvance builds this sharded cache's successor for a new
@@ -513,12 +525,9 @@ type ShardCacheStats struct {
 	RemotePartials int64
 }
 
-// addShardStats folds one sharded cache's per-shard counters into out
-// (indexed by shard id).
+// addShardStats folds one cache's per-shard counters into out (indexed
+// by shard id).
 func (c *Cache) addShardStats(out []ShardCacheStats) {
-	if c.sh == nil {
-		return
-	}
 	for i, sm := range c.sh.memos {
 		if i >= len(out) {
 			break

@@ -39,7 +39,7 @@ func TestShardOfPointStable(t *testing.T) {
 }
 
 // TestShardedLookupMatchesTopK: merged sharded results must be
-// bit-identical to the unsharded oracle — ordering, tie-breaks and
+// bit-identical to the Scorer.TopK oracle — ordering, tie-breaks and
 // KthScore included — across random data, duplicate points (forced
 // score ties), k values and active subsets.
 func TestShardedLookupMatchesTopK(t *testing.T) {
@@ -66,7 +66,7 @@ func TestShardedLookupMatchesTopK(t *testing.T) {
 			}
 		}
 
-		for _, shards := range []int{2, 3, 8} {
+		for _, shards := range []int{1, 2, 3, 8} {
 			cache := NewShardedCache(sc, k, active, shards, 0, nil)
 			for probe := 0; probe < 5; probe++ {
 				w := vec.New(d - 1)

@@ -300,63 +300,40 @@ func newResult(ordered []int, scores []float64) *Result {
 // Lemma 5 changes the active set or k. It is safe for concurrent use —
 // the parallel solver shares one cache across its workers.
 //
-// A cache built by NewShardedCache runs in sharded mode (see shard.go):
-// the evaluation plane is split into per-shard memos with independent
-// locks, and lookups merge per-shard partials into the exact global
-// result. Sharded and unsharded caches return identical Results.
+// Every memoizing cache runs on the sharded evaluation plane (shard.go):
+// per-shard partial memos with independent locks, merged into the exact
+// global result on lookup. One shard is the S=1 case of that plane, not
+// a separate mode; at every shard count a lookup returns a Result
+// bit-identical to Scorer.TopK.
 type Cache struct {
-	scorer    *Scorer
-	k         int
-	active    []int
-	limit     int // max memoized vertices (0 = unlimited)
-	mu        sync.Mutex
-	m         map[uint64]memoEntry
-	hits      int
-	misses    int
-	evictions int      // results not memoized because the cache was full
-	sh        *sharded // non-nil: sharded evaluation plane (shard.go)
+	scorer *Scorer
+	k      int
+	active []int
+	mu     sync.Mutex
+	hits   int
+	misses int
+	sh     *sharded // the evaluation plane (shard.go); nil only for pass-through caches
 
-	// remote routes shard partials to their owning workers (remote.go).
-	// Only consulted in sharded mode for whole-dataset configurations;
+	// remote routes shard partials to their owning workers (remote.go);
 	// the registry attaches it and successors carry it forward.
 	remote *RemotePlane
 }
 
-// SetRemote attaches a remote partial plane: lookups of whole-dataset
-// configurations route remote-owned shards' partials to their owners,
-// falling back to the local computation on any failure. Attach before
-// the cache starts serving; the plane itself is safe for concurrent
-// use.
+// SetRemote attaches a remote partial plane: lookups route remote-owned
+// shards' partials to their owners, falling back to the local
+// computation on any failure. Attach before the cache starts serving;
+// the plane itself is safe for concurrent use.
 func (c *Cache) SetRemote(rp *RemotePlane) { c.remote = rp }
 
-// memoEntry pairs a memoized result with the vertex it was computed at.
-// The vertex is retained only for whole-dataset (nil active set)
-// configurations — the patchable ones: patch-on-insert (patch.go) must
-// score the inserted options *at each memoized vertex*, and the map key
-// is a quantized hash from which the vertex cannot be recovered. The
-// vertex is a private clone: lookup vertices may live in a recycled
-// solver arena.
-type memoEntry struct {
-	w vec.Vector
-	r *Result
-}
-
-// NewCache builds a cache for top-k queries with the given parameters.
+// NewCache builds a one-shard cache for top-k queries with the given
+// parameters.
 func NewCache(scorer *Scorer, k int, active []int) *Cache {
-	return &Cache{scorer: scorer, k: k, active: active, m: make(map[uint64]memoEntry)}
-}
-
-// NewBoundedCache is NewCache with a cap on memoized vertices; past the
-// cap, lookups of unseen vertices compute without storing. Registry
-// uses it so engine-shared caches stay bounded across query streams.
-func NewBoundedCache(scorer *Scorer, k int, active []int, limit int) *Cache {
-	c := NewCache(scorer, k, active)
-	c.limit = limit
-	return c
+	return NewShardedCache(scorer, k, active, 1, 0, nil)
 }
 
 // NewPassthroughCache builds a Cache that never memoizes — every Get
-// recomputes. It exists for the cache-effectiveness ablation benchmarks.
+// recomputes with Scorer.TopK. It exists for the cache-effectiveness
+// ablation benchmarks.
 func NewPassthroughCache(scorer *Scorer, k int, active []int) *Cache {
 	return &Cache{scorer: scorer, k: k, active: active}
 }
@@ -381,120 +358,75 @@ func (c *Cache) Get(w vec.Vector) *Result {
 	return r
 }
 
-// LookupCtx is Lookup with context-aware sharded evaluation: in sharded
-// mode, missing per-shard partials are computed (concurrently when the
-// work is large), ctx cancellation stops unstarted sibling shards and
-// returns the context error, and acc (optional) receives per-shard work
-// attribution. For unsharded caches it is exactly Lookup — cancellation
-// between whole lookups is the driver's job there.
-func (c *Cache) LookupCtx(ctx context.Context, w vec.Vector, acc *ShardAccum) (*Result, bool, error) {
-	if c.sh != nil {
-		return c.lookupSharded(ctx, w, acc)
-	}
-	r, hit := c.Lookup(w)
-	return r, hit, nil
-}
-
 // Lookup is Get, additionally reporting whether the result was served
 // from the cache — so callers sharing a cache can attribute misses to
 // their own queries.
 func (c *Cache) Lookup(w vec.Vector) (*Result, bool) {
-	if c.sh != nil {
-		r, hit, _ := c.lookupSharded(context.Background(), w, nil)
-		return r, hit
-	}
-	if c.m == nil { // pass-through mode
+	r, hit, _ := c.LookupCtx(context.Background(), w, nil)
+	return r, hit
+}
+
+// LookupCtx is Lookup with context-aware evaluation: missing per-shard
+// partials are computed (concurrently when the work is large), ctx
+// cancellation stops unstarted sibling shards and returns the context
+// error, and acc (optional) receives per-shard work attribution.
+func (c *Cache) LookupCtx(ctx context.Context, w vec.Vector, acc *ShardAccum) (*Result, bool, error) {
+	if c.sh == nil { // pass-through ablation
 		c.mu.Lock()
 		c.misses++
 		sc := c.scorer
 		c.mu.Unlock()
-		return sc.TopK(w, c.k, c.active), false
+		return sc.TopK(w, c.k, c.active), false, nil
 	}
-	key := w.Hash(1e-10)
-	c.mu.Lock()
-	if e, ok := c.m[key]; ok {
-		c.hits++
-		c.mu.Unlock()
-		return e.r, true
-	}
-	// Snapshot the scorer pointer under the lock (rebind may swap it
-	// concurrently) and compute outside it; a racing duplicate
-	// computation is harmless (results are identical under either
-	// generation's scorer — see rebind — and idempotent to store).
-	sc := c.scorer
-	c.mu.Unlock()
-	r := sc.TopK(w, c.k, c.active)
-	e := memoEntry{r: r}
-	if c.active == nil {
-		e.w = w.Clone()
-	}
-	c.mu.Lock()
-	if c.limit <= 0 || len(c.m) < c.limit {
-		c.m[key] = e
-	} else {
-		c.evictions++
-	}
-	c.misses++
-	c.mu.Unlock()
-	return r, false
+	return c.lookup(ctx, w, acc)
 }
 
-// Stats reports cache hits and misses (total queries = hits + misses).
-// A sharded cache counts at the merged-lookup level — a hit means every
-// shard served from memory — so the figures stay comparable with
-// unsharded caches.
+// Stats reports cache hits and misses (total queries = hits + misses),
+// counted at the merged-lookup level: a hit means every shard served
+// from memory.
 func (c *Cache) Stats() (hits, misses int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses
 }
 
-// Evictions reports results the cache declined to memoize because it
-// was full; a sharded cache sums its shard memos' refusals and the
+// Evictions sums the shard memos' refusals at their entry caps and the
 // partials dropped by per-shard invalidation.
 func (c *Cache) Evictions() int {
-	c.mu.Lock()
-	n := c.evictions
-	c.mu.Unlock()
-	if c.sh != nil {
-		for _, sm := range c.sh.memos {
-			sm.mu.Lock()
-			n += sm.evictions
-			sm.mu.Unlock()
-		}
-	}
+	n := 0
+	c.forMemos(func(sm *shardMemo) { n += sm.evictions })
 	return n
 }
 
-// Len reports the number of memoized vertices (for a sharded cache, the
-// total memoized partials across shards).
+// Len reports the memoized partials across shards.
 func (c *Cache) Len() int {
-	if c.sh != nil {
-		n := 0
-		for _, sm := range c.sh.memos {
-			sm.mu.Lock()
-			n += len(sm.m)
-			sm.mu.Unlock()
-		}
-		return n
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
+	n := 0
+	c.forMemos(func(sm *shardMemo) { n += len(sm.m) })
+	return n
 }
 
-// rebind points the cache at a new generation's scorer. Only sound when
-// every option in the cache's active set is bit-identical between the
-// old and new scorer (the registry's Advance guarantees it by dropping
-// any configuration touching a dirty slot): then every memoized result,
-// and every future computation by either a pinned old-generation solve
-// or a new-generation solve, is identical under both scorers, so the
-// same Cache object safely serves both sides.
-func (c *Cache) rebind(sc *Scorer) {
-	if c.sh != nil {
-		c.rebindSharded(sc)
+// forMemos calls f on every shard memo under that memo's lock.
+func (c *Cache) forMemos(f func(*shardMemo)) {
+	if c.sh == nil {
 		return
 	}
+	for _, sm := range c.sh.memos {
+		sm.mu.Lock()
+		f(sm)
+		sm.mu.Unlock()
+	}
+}
+
+// rebind points the cache and every shard memo at a new generation's
+// scorer. Only sound when every option in the cache's active set is
+// bit-identical between the old and new scorer (the registry's Advance
+// guarantees it by rebinding only configurations no dirty slot
+// touches): then every memoized partial, and every future computation
+// by either a pinned old-generation solve or a new-generation solve, is
+// identical under both scorers, so the same Cache object safely serves
+// both sides.
+func (c *Cache) rebind(sc *Scorer) {
+	c.forMemos(func(sm *shardMemo) { sm.scorer = sc })
 	c.mu.Lock()
 	c.scorer = sc
 	c.mu.Unlock()

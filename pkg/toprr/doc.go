@@ -50,8 +50,8 @@
 // stripes its lock and budget S ways, by option pair),
 // and solves fan out with one worker per shard (capped at GOMAXPROCS)
 // over the channel scheduler, assembling through the per-shard
-// constraint-intersection merge stage. Sharded and unsharded solves
-// produce identical regions; sharding buys parallelism without
+// constraint-intersection merge stage. Every shard count produces the
+// identical region; sharding buys parallelism without
 // cache-lock contention, per-shard incremental invalidation under
 // mutations (an insert invalidates one shard, not the whole
 // whole-dataset configuration), split cache budgets, and the per-shard

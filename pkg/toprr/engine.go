@@ -117,13 +117,14 @@ func WithBatchWorkers(n int) EngineOption {
 // over the shards — per-vertex evaluations merge exact per-shard
 // partial results, queries default to n parallel workers on the channel
 // scheduler, and the assemble stage intersects per-shard constraint
-// chunks. Sharded and unsharded solves produce identical regions;
-// sharding buys parallelism without cache-lock contention, per-shard
+// chunks. Every shard count produces the identical region; sharding
+// buys parallelism without cache-lock contention, per-shard
 // incremental invalidation under mutations, and per-shard cache
 // budgets.
 //
 // n = 0 (the default) derives the count from GOMAXPROCS (capped at 8);
-// n = 1 disables sharding. A durable engine persists the count in its
+// n = 1 runs the same plane with one shard, on one worker and the
+// sequential assembler. A durable engine persists the count in its
 // snapshot metadata, and a reopened dataset keeps its recorded layout —
 // WithShards then only seeds fresh (or pre-shard) directories.
 func WithShards(n int) EngineOption {
@@ -250,7 +251,7 @@ func OpenEngine(pts []vec.Vector, opts ...EngineOption) (*Engine, error) {
 	return e, nil
 }
 
-// Shards reports the engine's shard count (1 = unsharded).
+// Shards reports the engine's shard count.
 func (e *Engine) Shards() int { return e.shards }
 
 // SetCacheLimits adjusts the cache limits of a live engine, with the
@@ -582,8 +583,11 @@ dispatch:
 // CacheStats reports the engine's cross-query cache occupancy: interned
 // split hyperplanes, interned top-k cache configurations, the cumulative
 // top-k hit/miss totals across them, and the entries evicted so far
-// (dropped by generation advances or refused at a configured cap). The
-// snapshot is taken at the current generation.
+// (dropped by generation advances or refused at a configured cap). On
+// the top-k side an entry is a per-shard partial at every shard count,
+// one included: Evictions counts the partials a mutation's per-shard
+// invalidation left behind, not whole configurations. The snapshot is
+// taken at the current generation.
 //
 // LiveGenerations and RetainedSnapshotBytes observe the store's
 // copy-on-write snapshots: how many generations are still reachable
@@ -636,10 +640,10 @@ type CacheStats struct {
 	Fallbacks        int64
 	RemoteBytes      int64
 
-	Shards int // the engine's shard count (1 = unsharded)
+	Shards int // the engine's shard count
 	// ShardStats breaks the shared caches down per shard — memoized
 	// partials, hit/miss totals, and the hyperplane stripe occupancy —
-	// on sharded engines (nil otherwise).
+	// with one row per shard (a single row at one shard).
 	ShardStats []ShardCacheStats
 }
 

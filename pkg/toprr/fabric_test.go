@@ -178,10 +178,10 @@ func TestFabricEngineMatchesOracle(t *testing.T) {
 				t.Errorf("workers=%d shards=%d: FabricStats.Workers = %d, want %d", nw, s, fs.Workers, want)
 			}
 			if s == 1 {
-				// An unsharded solve plane has nothing to scatter: the
+				// A one-shard solve plane has nothing to scatter: the
 				// fabric stays configured but idle.
 				if fs.RemotePartials != 0 {
-					t.Errorf("shards=1: unsharded plane served %d remote partials", fs.RemotePartials)
+					t.Errorf("shards=1: one-shard plane served %d remote partials", fs.RemotePartials)
 				}
 				continue
 			}

@@ -51,6 +51,7 @@ type Registry struct {
 	watchCap      int           // per-tenant standing-subscription cap (0 = engine default)
 	remote        map[string]RemoteShards
 	persist       store.PersistConfig
+	now           func() time.Time // idle-tracking clock (time.Now outside tests)
 
 	mu      sync.Mutex
 	tenants map[string]*tenant
@@ -155,7 +156,7 @@ func WithCacheBudget(totalConfigs, entriesPerConfig int) RegistryOption {
 // the datasets already under its root (each opens lazily on first
 // request); a memory-only registry starts empty.
 func NewRegistry(opts ...RegistryOption) (*Registry, error) {
-	r := &Registry{tenants: make(map[string]*tenant)}
+	r := &Registry{tenants: make(map[string]*tenant), now: time.Now}
 	for _, o := range opts {
 		o(r)
 	}
@@ -170,7 +171,7 @@ func NewRegistry(opts ...RegistryOption) (*Registry, error) {
 		if err != nil {
 			return nil, err
 		}
-		now := time.Now()
+		now := r.now()
 		for _, name := range names {
 			r.tenants[name] = r.newTenant(name, now)
 		}
@@ -349,7 +350,7 @@ func (r *Registry) CreateWithShards(name string, pts []vec.Vector, shards int) (
 	}
 	// Placeholder with opening set, so concurrent Create/Get/Drop on the
 	// same name wait for this construction instead of racing it.
-	t := r.newTenant(name, time.Now())
+	t := r.newTenant(name, r.now())
 	t.opening = true
 	r.tenants[name] = t
 	r.mu.Unlock()
@@ -385,7 +386,7 @@ func (r *Registry) CreateWithShards(name string, pts []vec.Vector, shards int) (
 		return nil, ErrRegistryClosed
 	}
 	t.engine = eng
-	t.lastUse = time.Now()
+	t.lastUse = r.now()
 	r.rebalanceLocked()
 	return eng, nil
 }
@@ -412,7 +413,7 @@ func (r *Registry) Acquire(name string) (*Engine, func(), error) {
 		return nil, nil, err
 	}
 	t.refs++
-	t.lastUse = time.Now()
+	t.lastUse = r.now()
 	r.mu.Unlock()
 
 	var once sync.Once
@@ -420,7 +421,7 @@ func (r *Registry) Acquire(name string) (*Engine, func(), error) {
 		once.Do(func() {
 			r.mu.Lock()
 			t.refs--
-			t.lastUse = time.Now()
+			t.lastUse = r.now()
 			r.mu.Unlock()
 		})
 	}
@@ -598,7 +599,7 @@ func (r *Registry) EvictIdle() int {
 		r.mu.Unlock()
 		return 0
 	}
-	now := time.Now()
+	now := r.now()
 	var victims []*tenant
 	var engines []*Engine
 	for _, t := range r.tenants {

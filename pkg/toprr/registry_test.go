@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -261,11 +262,14 @@ func TestRegistryIdleEviction(t *testing.T) {
 // shares never exceeds the budget.
 func TestRegistryCacheBudget(t *testing.T) {
 	const budget, entries = 120, 1000
+	const ttl = 10 * time.Millisecond
 	root := t.TempDir()
+	clk := new(fakeClock)
 	r, err := NewRegistry(
 		WithRegistryRoot(root),
-		WithIdleTTL(10*time.Millisecond),
-		WithCacheBudget(budget, entries))
+		WithIdleTTL(ttl),
+		WithCacheBudget(budget, entries),
+		withRegistryClock(clk.Now))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,28 +319,32 @@ func TestRegistryCacheBudget(t *testing.T) {
 	}
 	checkShares(2, budget/2)
 
-	// Evict everything; reopening one tenant grants it the whole budget.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		r.EvictIdle()
-		open := 0
-		for _, ds := range r.Stats() {
-			if ds.Open {
-				open++
-			}
+	// Evict everything once the fake clock passes the TTL (the janitor
+	// may race this EvictIdle, but either sweep closes every idle
+	// tenant); reopening one tenant grants it the whole budget.
+	clk.Advance(ttl)
+	r.EvictIdle()
+	for _, ds := range r.Stats() {
+		if ds.Open {
+			t.Fatalf("tenant %s still open after the TTL passed", ds.Name)
 		}
-		if open == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("tenants never evicted: %+v", r.Stats())
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 	if _, err := r.Get("a"); err != nil {
 		t.Fatal(err)
 	}
 	checkShares(1, budget)
+}
+
+// fakeClock is a manually advanced clock for idle-eviction tests, safe
+// for the janitor goroutine to read concurrently.
+type fakeClock struct{ ns atomic.Int64 }
+
+func (c *fakeClock) Now() time.Time          { return time.Unix(0, c.ns.Load()) }
+func (c *fakeClock) Advance(d time.Duration) { c.ns.Add(int64(d)) }
+
+// withRegistryClock replaces the registry's idle-tracking clock.
+func withRegistryClock(now func() time.Time) RegistryOption {
+	return func(r *Registry) { r.now = now }
 }
 
 // TestRegistryConcurrent hammers one durable registry from many
